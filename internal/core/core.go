@@ -18,7 +18,10 @@
 // delivered and how interest/failure detection is triggered.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ActionKind identifies an upstream message a node must send after a state
 // transition.
@@ -91,6 +94,13 @@ func (s *State) Len() int { return len(s.list) }
 // Subscribers returns a copy of the subscriber list in insertion order.
 func (s *State) Subscribers() []int {
 	return append([]int(nil), s.list...)
+}
+
+// EqualSubscribers reports whether the subscriber list equals other, entry
+// by entry in insertion order, without copying it: the live network's
+// journal asks after every lane wake-up whether the list moved.
+func (s *State) EqualSubscribers(other []int) bool {
+	return slices.Equal(s.list, other)
 }
 
 // Contains reports whether n is in the subscriber list.

@@ -301,6 +301,48 @@ func TestPushTargetsExcludeSelf(t *testing.T) {
 	}
 }
 
+func TestEqualSubscribers(t *testing.T) {
+	s := NewState(2, false)
+	s.AdoptSubscriber(5)
+	s.AdoptSubscriber(7)
+	for _, c := range []struct {
+		other []int
+		want  bool
+	}{
+		{[]int{5, 7}, true},
+		{[]int{7, 5}, false}, // insertion order is part of the list
+		{[]int{5}, false},
+		{[]int{5, 7, 9}, false},
+		{nil, false},
+	} {
+		if got := s.EqualSubscribers(c.other); got != c.want {
+			t.Errorf("EqualSubscribers(%v) = %v, want %v", c.other, got, c.want)
+		}
+	}
+	if !NewState(3, false).EqualSubscribers(nil) {
+		t.Error("an empty list should equal nil")
+	}
+}
+
+// TestReadAccessorsAllocs pins the accessors the live network calls per
+// push and per lane wake-up at zero allocations.
+func TestReadAccessorsAllocs(t *testing.T) {
+	s := NewState(2, false)
+	s.AdoptSubscriber(2)
+	s.AdoptSubscriber(5)
+	s.AdoptSubscriber(7)
+	last := s.Subscribers()
+	scratch := make([]int, 0, 8)
+	if allocs := testing.AllocsPerRun(100, func() {
+		scratch = s.AppendPushTargets(scratch[:0])
+		if !s.EqualSubscribers(last) || len(scratch) != 2 {
+			t.Fatal("accessors disagree with the list")
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendPushTargets + EqualSubscribers allocate %.0f objects, want 0", allocs)
+	}
+}
+
 func TestResetAndDrop(t *testing.T) {
 	s := NewState(2, false)
 	s.AdoptSubscriber(5)

@@ -956,12 +956,9 @@ func (nw *Network) Leave(id int, timeout time.Duration) error {
 	nw.left = append(nw.left, n)
 	nw.mu.Unlock()
 
-	done := make(chan struct{})
-	if n.lanes[0].postCtrl(ctrlMsg{kind: cLeave, children: children, done: done}) {
-		select {
-		case <-done:
-		case <-time.After(timeout):
-		}
+	// Best effort: a refused or unacknowledged departure still deregisters.
+	if w, err := n.lanes[0].call(ctrlMsg{kind: cLeave, children: children}, timeout); err == nil {
+		putWaiter(w)
 	}
 	// Deregister and stop: late messages to the departed id count as
 	// transport drops from here on.
@@ -1027,6 +1024,12 @@ func (h *KeyHandle) Key() int { return h.key }
 // Query issues an index query for this key at the given hosted node and
 // waits up to timeout for the answer. Querying a key the node has never
 // seen makes it a lazy participant in that key's tree.
+//
+// A hit on a subscribed node or on the authority is served inline, on the
+// caller's goroutine, from the copy the node's lane publishes: it does not
+// wait, and it cannot be refused as overloaded. Every other query — a
+// miss, or a hit that may tip the node into subscribing — is handed to the
+// node's lane, whose bounded control queue refuses it when full.
 func (h *KeyHandle) Query(at int, timeout time.Duration) (QueryResult, error) {
 	nw := h.nw
 	if at < 0 || at >= nw.Nodes() {
@@ -1042,17 +1045,18 @@ func (h *KeyHandle) Query(at int, timeout time.Duration) (QueryResult, error) {
 	if nw.stopped.Load() || n.dead.Load() {
 		return QueryResult{}, fmt.Errorf("live: node %d is down", at)
 	}
-	res := make(chan QueryResult, 1)
-	c := ctrlMsg{kind: cQuery, key: h.key, res: res, deadline: time.Now().Add(timeout + time.Second)}
-	if !n.laneForKey(h.key).postCtrl(c) {
-		return QueryResult{}, fmt.Errorf("live: node %d is overloaded", at)
+	now := time.Now()
+	if v, ok := n.hit(h.key, now); ok {
+		return QueryResult{Version: v, Local: true}, nil
 	}
-	select {
-	case r := <-res:
-		return r, nil
-	case <-time.After(timeout):
-		return QueryResult{}, ErrTimeout
+	c := ctrlMsg{kind: cQuery, key: h.key, deadline: now.Add(timeout + time.Second)}
+	w, err := n.laneForKey(h.key).call(c, timeout)
+	if err != nil {
+		return QueryResult{}, err
 	}
+	r := w.res
+	putWaiter(w)
+	return r, nil
 }
 
 // Stats returns this keyed index tree's counter snapshot across the
@@ -1089,16 +1093,13 @@ func (h *KeyHandle) Inspect(id int, timeout time.Duration) (NodeInfo, error) {
 	if n == nil {
 		return NodeInfo{}, fmt.Errorf("live: node %d is not hosted here", id)
 	}
-	res := make(chan NodeInfo, 1)
-	if !n.laneForKey(h.key).postCtrl(ctrlMsg{kind: cInspect, key: h.key, info: res}) {
-		return NodeInfo{}, fmt.Errorf("live: node %d is overloaded", id)
+	w, err := n.laneForKey(h.key).call(ctrlMsg{kind: cInspect, key: h.key}, timeout)
+	if err != nil {
+		return NodeInfo{}, err
 	}
-	select {
-	case in := <-res:
-		return in, nil
-	case <-time.After(timeout):
-		return NodeInfo{}, ErrTimeout
-	}
+	in := w.info
+	putWaiter(w)
+	return in, nil
 }
 
 // Join makes a hosted node a participant in this keyed index tree: it

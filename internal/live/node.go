@@ -1,6 +1,8 @@
 package live
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,14 +49,12 @@ type ctrlMsg struct {
 	kind     ctrlKind
 	parent   int
 	key      int
-	peer     int  // cReparent/cPeerJoin/cUnsubPeer/cSuspect/cRootLane subject
-	asRoot   bool // cAdoptLane: resume as the designated authority
-	res      chan QueryResult
-	info     chan NodeInfo
+	peer     int     // cReparent/cPeerJoin/cUnsubPeer/cSuspect/cRootLane subject
+	asRoot   bool    // cAdoptLane: resume as the designated authority
+	w        *waiter // cQuery/cInspect/cLeave: completed with the outcome
 	deadline time.Time
 	children []int             // cLeave: keep-alive children to notify
 	peers    []int             // cAlive: peers seen since the last digest
-	done     chan struct{}     // cLeave: closed once departure is acked
 	states   []store.NodeState // cReboot/cAdoptLane: durable state to resume from
 }
 
@@ -141,8 +141,43 @@ func (w *seqWindow) observe(seq int64) bool {
 // pendingQuery is a query issued at this node that is waiting for its
 // reply to retrace the request path back here.
 type pendingQuery struct {
-	res     chan QueryResult
+	w       *waiter
 	expires time.Time
+}
+
+// copyCell is one index copy — a (version, expiry) pair — that the owning
+// lane alone writes and any goroutine may read: KeyHandle.Query serves
+// hits from it without entering the lane. expiry is unix nanoseconds, 0
+// when there is no copy. The store and load orders make a torn read
+// harmless: set writes the version before the expiry, and zeroes the
+// expiry first when the new one is earlier; load reads the expiry, then
+// the version, then the expiry again and reports no copy when it moved. A
+// loaded version is therefore never judged by an expiry later than its
+// own.
+type copyCell struct {
+	ver atomic.Int64
+	exp atomic.Int64
+}
+
+func (c *copyCell) set(v, exp int64) {
+	if exp < c.exp.Load() {
+		c.exp.Store(0)
+	}
+	c.ver.Store(v)
+	c.exp.Store(exp)
+}
+
+// drop invalidates the copy; the version stays as a lower-bound hint for
+// the lane.
+func (c *copyCell) drop() { c.exp.Store(0) }
+
+func (c *copyCell) load() (v, exp int64) {
+	exp = c.exp.Load()
+	v = c.ver.Load()
+	if c.exp.Load() != exp {
+		return 0, 0
+	}
+	return v, exp
 }
 
 // shard is one keyed index tree's per-node state: the DUP-tree state
@@ -155,18 +190,21 @@ type shard struct {
 	key int
 	st  *core.State
 
-	// Cached index copy.
+	// The copies a query is answered from: cache is the copy pushes and
+	// replies refresh (haveCopy false means it holds none), auth the
+	// authority's own version, live while root is set. root and interested
+	// mirror st.IsRoot and st.Interested for readers off the lane; the lane
+	// republishes them whenever it changes st (setRoot, emit, resetLane).
+	cache      copyCell
 	haveCopy   bool
-	cacheVer   int64
-	cacheExp   time.Time
 	lastPushed int64
+	auth       copyCell
+	root       atomic.Bool
+	interested atomic.Bool
 
-	// Authority state (root only).
-	version int64
-	expiry  time.Time
-
-	// Access tracking (interest policy).
-	count         int
+	// Access tracking (interest policy). count is bumped by the lane and
+	// by inline hits alike; tick swaps it to zero at the interval boundary.
+	count         atomic.Int64
 	intervalStart time.Time
 
 	// Per-key stats sink (registry entry shared with Network.StatsKey).
@@ -247,10 +285,10 @@ type node struct {
 	// (KindJoin) when lane 0 starts — set for joiners and for nodes
 	// resuming from recovered state. leaving/leaveDone/leaveLanes track a
 	// graceful departure: each lane signals once its reliable queue
-	// drains, and the last one closes leaveDone.
+	// drains, and the last one completes leaveDone.
 	announce   bool
 	leaving    bool
-	leaveDone  chan struct{}
+	leaveDone  *waiter
 	leaveLanes atomic.Int32
 	stopOnce   sync.Once
 }
@@ -269,10 +307,16 @@ type lane struct {
 	inbox chan *proto.Message
 	ctrl  chan ctrlMsg
 
-	// Per-key data plane: the shards this lane owns. keys mirrors the map
-	// in sorted order so iteration is deterministic.
-	shards map[int]*shard
-	keys   []int
+	// Per-key data plane: the shards this lane owns, sorted by key so
+	// iteration is deterministic. The slice is never changed in place:
+	// addShard and dropShard (both rare) replace it with an edited copy
+	// and publish that through index, which is how KeyHandle.Query finds
+	// a shard without entering the lane.
+	shards []*shard
+	index  atomic.Pointer[[]*shard]
+
+	// targets is pushOut's scratch slice, reused across pushes.
+	targets []int
 
 	// Query correlation: queries born on this lane wait in pending, keyed
 	// by the Seq their request carried.
@@ -353,7 +397,6 @@ func newNode(nw *Network, id, parent int) *node {
 			stride:  int64(loops),
 			inbox:   make(chan *proto.Message, nw.cfg.inboxDepth()),
 			ctrl:    make(chan ctrlMsg, 16),
-			shards:  map[int]*shard{},
 			pending: map[int64]pendingQuery{},
 			relSeq:  base + int64(i),
 			unacked: map[int64]*relEntry{},
@@ -598,28 +641,60 @@ func (l *lane) newMsg(kind proto.Kind, to int) *proto.Message {
 // touch: a push or request for a key this node has never seen makes it a
 // participant in that key's tree.
 func (l *lane) shard(key int) *shard {
-	if sh, ok := l.shards[key]; ok {
+	if sh := l.lookup(key); sh != nil {
 		return sh
 	}
 	return l.addShard(key, time.Now())
 }
 
 func (l *lane) addShard(key int, now time.Time) *shard {
+	root := l.n.isRoot.Load()
 	sh := &shard{
 		key:           key,
-		st:            core.NewState(l.n.id, l.n.isRoot.Load()),
+		st:            core.NewState(l.n.id, root),
 		lastPushed:    -1,
 		intervalStart: now,
 		kc:            l.n.nw.kc(key),
 	}
-	if l.n.isRoot.Load() {
-		sh.expiry = now.Add(l.n.nw.cfg.TTL)
+	if root {
+		sh.auth.set(0, now.Add(l.n.nw.cfg.TTL).UnixNano())
+		sh.root.Store(true)
 	}
-	l.shards[key] = sh
-	l.keys = append(l.keys, key)
-	sort.Ints(l.keys)
+	i, _ := findShard(l.shards, key)
+	l.publish(slices.Insert(slices.Clone(l.shards), i, sh))
 	l.n.registerKey(key)
 	return sh
+}
+
+// publish replaces the lane's shard slice, for the lane and for readers
+// off it.
+func (l *lane) publish(shards []*shard) {
+	l.shards = shards
+	l.index.Store(&shards)
+}
+
+// findShard binary-searches a key-sorted shard slice.
+func findShard(shards []*shard, key int) (int, bool) {
+	return slices.BinarySearchFunc(shards, key, func(sh *shard, key int) int { return cmp.Compare(sh.key, key) })
+}
+
+// lookup finds one keyed shard from any goroutine; nil when the lane does
+// not hold the key.
+func (l *lane) lookup(key int) *shard {
+	if p := l.index.Load(); p != nil {
+		if i, ok := findShard(*p, key); ok {
+			return (*p)[i]
+		}
+	}
+	return nil
+}
+
+// setRoot switches one shard between authority and inner-node serving.
+// Callers bring auth (or cache) up to date first: a reader that sees the
+// new role must find the copy that goes with it.
+func (sh *shard) setRoot(root bool) {
+	sh.st.SetRoot(root)
+	sh.root.Store(root)
 }
 
 // dropShard removes one keyed shard (LeaveKey); key 0 never drops.
@@ -627,12 +702,8 @@ func (l *lane) dropShard(key int) {
 	if key == 0 {
 		return
 	}
-	delete(l.shards, key)
-	for i, k := range l.keys {
-		if k == key {
-			l.keys = append(l.keys[:i], l.keys[i+1:]...)
-			break
-		}
+	if i, ok := findShard(l.shards, key); ok {
+		l.publish(slices.Delete(slices.Clone(l.shards), i, i+1))
 	}
 	l.n.unregisterKey(key)
 }
@@ -794,20 +865,18 @@ func (l *lane) track(m *proto.Message) {
 	l.unacked[l.relSeq] = e
 }
 
-// timeToUnix and unixToTime convert between the node's monotonic-friendly
-// time.Time state and the float64 unix seconds that cross the wire.
-func timeToUnix(t time.Time) float64 {
-	if t.IsZero() {
-		return 0
-	}
-	return float64(t.UnixNano()) / 1e9
-}
+// nsToUnix and unixToNs convert between the unix nanoseconds a copyCell
+// keeps and the float64 unix seconds that cross the wire; zero (no
+// expiry) maps to zero both ways. nsToTime is the NodeInfo form.
+func nsToUnix(ns int64) float64 { return float64(ns) / 1e9 }
 
-func unixToTime(f float64) time.Time {
-	if f == 0 {
+func unixToNs(f float64) int64 { return int64(f * 1e9) }
+
+func nsToTime(ns int64) time.Time {
+	if ns == 0 {
 		return time.Time{}
 	}
-	return time.Unix(0, int64(f*1e9))
+	return time.Unix(0, ns)
 }
 
 // run is one lane's goroutine body. Lane 0 additionally runs the
@@ -823,14 +892,12 @@ func (l *lane) run() {
 		// beacons yet.
 		n.rootSeqAtV.Store(now.UnixNano())
 	}
-	for _, k := range l.keys {
-		sh := l.shards[k]
+	for _, sh := range l.shards {
 		sh.intervalStart = now
 		// A recovered authority enters with its pre-crash version already
 		// adopted; only a genuinely fresh root starts the schedule at zero.
-		if n.isRoot.Load() && sh.expiry.IsZero() {
-			sh.version = 0
-			sh.expiry = now.Add(n.nw.cfg.TTL)
+		if _, exp := sh.auth.load(); n.isRoot.Load() && exp == 0 {
+			sh.auth.set(0, now.Add(n.nw.cfg.TTL).UnixNano())
 		}
 	}
 	if l.idx == 0 && n.announce {
@@ -931,9 +998,10 @@ func (l *lane) tick(now time.Time) {
 	cfg := n.nw.cfg
 	if n.isRoot.Load() {
 		rep := n.rep.Load()
-		for _, k := range l.keys {
-			sh := l.shards[k]
-			if now.After(sh.expiry.Add(-cfg.Lead)) {
+		for _, sh := range l.shards {
+			version, expiry := sh.auth.load()
+			if now.UnixNano() > expiry-int64(cfg.Lead) {
+				next, exp := version+1, now.Add(cfg.TTL).UnixNano()
 				if rep != nil {
 					// Quorum gate: the bump goes through the replicated
 					// log — it may stall (no lease yet, or the reserve
@@ -941,20 +1009,15 @@ func (l *lane) tick(now time.Time) {
 					// which case the old version keeps serving until its
 					// expiry and the next tick retries; and it may jump
 					// (a fail-over floor), which the stream adopts.
-					exp := now.Add(cfg.TTL)
-					v, msgs, ok := rep.Bump(k, sh.version+1, timeToUnix(exp), now)
+					v, msgs, ok := rep.Bump(sh.key, next, nsToUnix(exp), now)
 					l.sendAll(msgs)
 					if !ok {
 						continue
 					}
-					sh.version = v
-					sh.expiry = exp
-					l.pushOut(sh, v, exp)
-					continue
+					next = v
 				}
-				sh.version++
-				sh.expiry = now.Add(cfg.TTL)
-				l.pushOut(sh, sh.version, sh.expiry)
+				sh.auth.set(next, exp)
+				l.pushOut(sh, next, exp)
 			}
 		}
 	} else if l.idx == 0 {
@@ -1082,13 +1145,11 @@ func (l *lane) tick(now time.Time) {
 		}
 	}
 	// Interval boundary per key: interest loss (Figure 3 D).
-	for _, k := range l.keys {
-		sh := l.shards[k]
+	for _, sh := range l.shards {
 		if now.Sub(sh.intervalStart) >= cfg.TTL {
-			if sh.st.Interested() && sh.count <= cfg.Threshold {
+			if count := sh.count.Swap(0); sh.st.Interested() && count <= int64(cfg.Threshold) {
 				l.emit(sh, sh.st.LoseInterest())
 			}
-			sh.count = 0
 			sh.intervalStart = now
 		}
 	}
@@ -1131,8 +1192,7 @@ func (n *node) pickReplacement(g *replica.Group, dead []int) int {
 // unsubscribePeer clears a dead or departed peer out of every keyed tree
 // it subscribed to on this lane.
 func (l *lane) unsubscribePeer(id int) {
-	for _, k := range l.keys {
-		sh := l.shards[k]
+	for _, sh := range l.shards {
 		if sh.st.Contains(id) {
 			l.emit(sh, sh.st.HandleUnsubscribe(id))
 		}
@@ -1221,13 +1281,12 @@ func (l *lane) reannounce(parent int) {
 	if parent < 0 {
 		return
 	}
-	for _, k := range l.keys {
-		sh := l.shards[k]
+	for _, sh := range l.shards {
 		if sh.st.OnVirtualPath() {
 			l.n.nw.stats.subscribes.Add(1)
 			sh.kc.subscribes.Add(1)
 			m := l.newMsg(proto.KindSubscribe, parent)
-			m.Key = k
+			m.Key = sh.key
 			m.Subject = sh.st.Representative()
 			l.send(m)
 		}
@@ -1458,13 +1517,12 @@ func (l *lane) abdicate(to int, now time.Time) {
 // copies (per-site monotonicity: this node may never again resolve below
 // a version it served as root).
 func (l *lane) abdicateLane(parent int, now time.Time) {
-	for _, k := range l.keys {
-		sh := l.shards[k]
-		sh.st.SetRoot(false)
-		if sh.version > sh.cacheVer {
-			sh.cacheVer, sh.cacheExp = sh.version, sh.expiry
+	for _, sh := range l.shards {
+		if v, exp := sh.auth.load(); v > sh.cache.ver.Load() {
+			sh.cache.set(v, exp)
 			sh.haveCopy = true
 		}
+		sh.setRoot(false)
 	}
 	l.reannounce(parent)
 }
@@ -1477,23 +1535,21 @@ func (l *lane) rootLane(now time.Time, old int) {
 		l.dropUnackedTo(old)
 	}
 	rep := l.n.rep.Load()
-	for _, k := range l.keys {
-		sh := l.shards[k]
-		sh.st.SetRoot(true)
-		if sh.cacheVer > sh.version {
-			sh.version = sh.cacheVer
-		}
+	for _, sh := range l.shards {
+		version := max(sh.auth.ver.Load(), sh.cache.ver.Load())
 		if rep != nil {
 			// Nothing is exposed or pushed yet: the expired schedule makes
 			// the next tick bump through the replicated log, which floors
 			// the stream above every version the old authority could have
 			// served — the cached version is only a lower-bound hint.
-			sh.expiry = now
+			sh.auth.set(version, now.UnixNano())
+			sh.setRoot(true)
 			continue
 		}
-		sh.version++
-		sh.expiry = now.Add(l.n.nw.cfg.TTL)
-		l.pushOut(sh, sh.version, sh.expiry)
+		exp := now.Add(l.n.nw.cfg.TTL).UnixNano()
+		sh.auth.set(version+1, exp)
+		sh.setRoot(true)
+		l.pushOut(sh, version+1, exp)
 	}
 }
 
@@ -1507,7 +1563,8 @@ func (l *lane) control(c ctrlMsg) {
 	case cBecomeRoot:
 		l.becomeRoot(time.Now(), -1)
 	case cInspect:
-		c.info <- l.info(c.key)
+		c.w.info = l.info(c.key)
+		c.w.complete()
 	case cLeave:
 		l.beginLeave(c)
 	case cReboot:
@@ -1567,17 +1624,19 @@ func (l *lane) info(key int) NodeInfo {
 			in.RootSeqAge = time.Since(time.Unix(0, at))
 		}
 	}
-	sh, ok := l.shards[key]
-	if !ok {
+	sh := l.lookup(key)
+	if sh == nil {
 		return in
 	}
 	in.Interested = sh.st.Interested()
-	in.Subscribers = append([]int(nil), sh.st.Subscribers()...)
-	in.PushTargets = append([]int(nil), sh.st.PushTargets()...)
+	in.Subscribers = sh.st.Subscribers()
+	in.PushTargets = sh.st.PushTargets()
 	if in.IsRoot {
-		in.HaveCopy, in.Version, in.Expiry = true, sh.version, sh.expiry
+		v, exp := sh.auth.load()
+		in.HaveCopy, in.Version, in.Expiry = true, v, nsToTime(exp)
 	} else if sh.haveCopy {
-		in.HaveCopy, in.Version, in.Expiry = true, sh.cacheVer, sh.cacheExp
+		v, exp := sh.cache.load()
+		in.HaveCopy, in.Version, in.Expiry = true, v, nsToTime(exp)
 	}
 	return in
 }
@@ -1724,7 +1783,7 @@ func (l *lane) handleMsg(m *proto.Message, batched bool) {
 		l.onLeave(m)
 	case proto.KindState:
 		sh := l.shard(m.Key)
-		l.storeIn(sh, m.Version, unixToTime(m.Expiry))
+		l.storeIn(sh, m.Version, unixToNs(m.Expiry))
 	}
 	proto.Release(m)
 }
@@ -1767,7 +1826,7 @@ func (l *lane) onJoin(m *proto.Message) {
 		delete(n.suspects, m.Origin)
 	}
 	if m.Key != 0 {
-		if sh, ok := l.shards[m.Key]; ok {
+		if sh := l.lookup(m.Key); sh != nil {
 			l.transferState(sh, m.Origin, now)
 		}
 		return
@@ -1776,8 +1835,8 @@ func (l *lane) onJoin(m *proto.Message) {
 	// its predecessor filled, so the newcomer's messages can never be
 	// absorbed as duplicates of messages it never sent.
 	delete(l.seen, m.Origin)
-	for _, k := range l.keys {
-		l.transferState(l.shards[k], m.Origin, now)
+	for _, sh := range l.shards {
+		l.transferState(sh, m.Origin, now)
 	}
 	l.bcast(ctrlMsg{kind: cPeerJoin, peer: m.Origin})
 }
@@ -1788,8 +1847,8 @@ func (l *lane) onJoin(m *proto.Message) {
 func (l *lane) onPeerJoin(peer int) {
 	now := time.Now()
 	delete(l.seen, peer)
-	for _, k := range l.keys {
-		l.transferState(l.shards[k], peer, now)
+	for _, sh := range l.shards {
+		l.transferState(sh, peer, now)
 	}
 }
 
@@ -1802,7 +1861,7 @@ func (l *lane) transferState(sh *shard, to int, now time.Time) {
 	s := l.newMsg(proto.KindState, to)
 	s.Key = sh.key
 	s.Version = v
-	s.Expiry = timeToUnix(exp)
+	s.Expiry = nsToUnix(exp)
 	l.send(s)
 }
 
@@ -1818,7 +1877,7 @@ func (l *lane) transferState(sh *shard, to int, now time.Time) {
 func (l *lane) onLeave(m *proto.Message) {
 	now := time.Now()
 	n := l.n
-	if sh, ok := l.shards[m.Key]; ok && sh.st.Contains(m.Origin) {
+	if sh := l.lookup(m.Key); sh != nil && sh.st.Contains(m.Origin) {
 		if m.Subject >= 0 && m.Subject != n.id {
 			l.emit(sh, sh.st.HandleSubstitute(m.Origin, m.Subject))
 		} else {
@@ -1957,8 +2016,8 @@ func (l *lane) leaveKey(key int) {
 	if key == 0 {
 		return
 	}
-	sh, ok := l.shards[key]
-	if !ok {
+	sh := l.lookup(key)
+	if sh == nil {
 		return
 	}
 	if sh.st.Interested() {
@@ -1985,17 +2044,15 @@ func (l *lane) leaveKey(key int) {
 // and the keep-alive children are told to re-home now rather than after a
 // detection timeout. The node keeps running — acking, retransmitting —
 // until every lane's departure announcements are acknowledged;
-// maybeFinishLeave then signals the waiting Network.Leave.
+// maybeFinishLeave then completes the waiting Network.Leave.
 func (l *lane) beginLeave(c ctrlMsg) {
 	n := l.n
 	if n.leaving {
-		if c.done != nil {
-			close(c.done)
-		}
+		c.w.complete()
 		return
 	}
 	n.leaving = true
-	n.leaveDone = c.done
+	n.leaveDone = c.w
 	n.leaveLanes.Store(int32(len(n.lanes)))
 	l.leaving = true
 	for _, dl := range n.lanes[1:] {
@@ -2019,13 +2076,12 @@ func (l *lane) beginLeave(c ctrlMsg) {
 // departures upstream. With exactly one remaining subscriber the parent
 // can substitute it in place (Figure 3 C). With more, no single node
 // represents the branch: the parent unsubscribes it and the re-homed
-// children re-announce their own virtual paths. One leave per key; keys
-// are sorted ascending and lane 0 always holds key 0, so iterating in
+// children re-announce their own virtual paths. One leave per key; shards
+// are sorted by key and lane 0 always holds key 0, so iterating in
 // reverse puts the node-level (key 0) leave last.
 func (l *lane) leaveAnnounce() {
 	n := l.n
-	for _, k := range l.keys {
-		sh := l.shards[k]
+	for _, sh := range l.shards {
 		if sh.st.Interested() {
 			l.emit(sh, sh.st.LoseInterest())
 		}
@@ -2034,10 +2090,9 @@ func (l *lane) leaveAnnounce() {
 	if parent < 0 {
 		return
 	}
-	for i := len(l.keys) - 1; i >= 0; i-- {
-		k := l.keys[i]
-		sh := l.shards[k]
-		if k != 0 && !sh.st.OnVirtualPath() {
+	for i := len(l.shards) - 1; i >= 0; i-- {
+		sh := l.shards[i]
+		if sh.key != 0 && !sh.st.OnVirtualPath() {
 			continue
 		}
 		rep := -1
@@ -2045,7 +2100,7 @@ func (l *lane) leaveAnnounce() {
 			rep = subs[0]
 		}
 		m := l.newMsg(proto.KindLeave, parent)
-		m.Key = k
+		m.Key = sh.key
 		m.Subject = rep
 		l.send(m)
 	}
@@ -2054,7 +2109,7 @@ func (l *lane) leaveAnnounce() {
 // maybeFinishLeave reports this lane's part of a pending departure done
 // once nothing reliable is left unacknowledged (the retransmit deadline
 // bounds how long that can take: give-ups empty the queue too). The last
-// lane to drain closes the waiter's channel.
+// lane to drain completes the waiter.
 func (l *lane) maybeFinishLeave() {
 	if !l.leaving || l.leaveSent || len(l.unacked) != 0 {
 		return
@@ -2064,8 +2119,8 @@ func (l *lane) maybeFinishLeave() {
 }
 
 func (n *node) laneLeaveDone() {
-	if n.leaveLanes.Add(-1) == 0 && n.leaveDone != nil {
-		close(n.leaveDone)
+	if n.leaveLanes.Add(-1) == 0 {
+		n.leaveDone.complete()
 	}
 }
 
@@ -2153,23 +2208,24 @@ func (l *lane) adoptLane(states []store.NodeState, asRoot bool) {
 	for _, ns := range states {
 		sh := l.shard(ns.Key)
 		if asRoot {
-			sh.st.SetRoot(true)
 			for _, s := range ns.Subscribers {
 				if s != n.id {
 					sh.st.AdoptSubscriber(s)
 				}
 			}
-			sh.version = ns.Version
 			if n.rep.Load() != nil {
 				// A replicated authority resuming from disk may hold a
 				// stale (or torn) journal: nothing is served or pushed
 				// until the quorum promise round floors the stream, then
 				// the next tick bumps through the replicated log.
-				sh.expiry = now
+				sh.auth.set(ns.Version, now.UnixNano())
+				sh.setRoot(true)
 				continue
 			}
-			sh.expiry = now.Add(n.nw.cfg.TTL)
-			l.pushOut(sh, sh.version, sh.expiry)
+			exp := now.Add(n.nw.cfg.TTL).UnixNano()
+			sh.auth.set(ns.Version, exp)
+			sh.setRoot(true)
+			l.pushOut(sh, ns.Version, exp)
 			continue
 		}
 		interested := false
@@ -2192,8 +2248,8 @@ func (l *lane) adoptLane(states []store.NodeState, asRoot bool) {
 			m.Subject = sh.st.Representative()
 			l.send(m)
 		}
-		if exp := unixToTime(ns.Expiry); exp.After(now) {
-			sh.haveCopy, sh.cacheVer, sh.cacheExp = true, ns.Version, exp
+		if exp := unixToNs(ns.Expiry); exp > now.UnixNano() {
+			l.storeIn(sh, ns.Version, exp)
 		}
 	}
 }
@@ -2210,37 +2266,25 @@ func (l *lane) record() {
 	}
 	parent := n.parent()
 	isRoot := n.isRoot.Load()
-	for _, k := range l.keys {
-		sh := l.shards[k]
-		ns := store.NodeState{ID: n.id, Key: k, Parent: parent, IsRoot: isRoot}
+	for _, sh := range l.shards {
+		ns := store.NodeState{ID: n.id, Key: sh.key, Parent: parent, IsRoot: isRoot}
 		if ns.IsRoot {
-			ns.Version, ns.Expiry = sh.version, timeToUnix(sh.expiry)
+			v, exp := sh.auth.load()
+			ns.Version, ns.Expiry = v, nsToUnix(exp)
 		} else if sh.haveCopy {
-			ns.Version, ns.Expiry = sh.cacheVer, timeToUnix(sh.cacheExp)
+			v, exp := sh.cache.load()
+			ns.Version, ns.Expiry = v, nsToUnix(exp)
 		}
-		subs := sh.st.Subscribers()
 		if sh.recValid && ns.Parent == sh.lastRec.Parent && ns.IsRoot == sh.lastRec.IsRoot &&
 			ns.Version == sh.lastRec.Version && ns.Expiry == sh.lastRec.Expiry &&
-			equalInts(subs, sh.lastRec.Subscribers) {
+			sh.st.EqualSubscribers(sh.lastRec.Subscribers) {
 			continue
 		}
-		ns.Subscribers = append([]int(nil), subs...)
+		ns.Subscribers = sh.st.Subscribers()
 		sh.lastRec = ns
 		sh.recValid = true
 		n.nw.journal.Record(ns)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // reset blanks the node after recovery and re-homes it under parent
@@ -2272,13 +2316,14 @@ func (l *lane) reset(parent int) {
 // streams continue across our recovery, and ours must not restart.
 func (l *lane) resetLane() {
 	now := time.Now()
-	for _, k := range l.keys {
-		sh := l.shards[k]
+	for _, sh := range l.shards {
 		sh.st.Reset()
-		sh.st.SetRoot(false)
+		sh.interested.Store(false)
+		sh.setRoot(false)
 		sh.haveCopy = false
+		sh.cache.drop()
 		sh.lastPushed = -1
-		sh.count = 0
+		sh.count.Store(0)
 		sh.intervalStart = now
 	}
 	clear(l.pending)
@@ -2297,24 +2342,69 @@ func (l *lane) resetLane() {
 // authority additionally needs a live quorum lease and an unexpired
 // version: a promoted or lease-less root refusing to serve (the caller
 // retries) is what keeps resolved versions monotone across fail-over.
-func (l *lane) valid(sh *shard, now time.Time) (int64, time.Time, bool) {
-	if l.n.isRoot.Load() {
-		if g := l.n.rep.Load(); g != nil && (!g.MayServe(now) || !sh.expiry.After(now)) {
-			return 0, time.Time{}, false
+//
+// It reads only what the lane publishes — the node's role and replica
+// group, the shard's copies — so KeyHandle.Query applies the very same
+// predicate off the lane (a dropped cache copy has expiry 0, so haveCopy
+// needs no look). root is the caller's one reading of n.isRoot.
+func (n *node) valid(sh *shard, root bool, now time.Time) (v, exp int64, ok bool) {
+	if root {
+		v, exp = sh.auth.load()
+		if g := n.rep.Load(); g != nil && (!g.MayServe(now) || exp <= now.UnixNano()) {
+			return 0, 0, false
 		}
-		return sh.version, sh.expiry, true
+		return v, exp, true
 	}
-	if sh.haveCopy && now.Before(sh.cacheExp) {
-		return sh.cacheVer, sh.cacheExp, true
+	v, exp = sh.cache.load()
+	return v, exp, now.UnixNano() < exp
+}
+
+// valid is node.valid under the node's current role.
+func (l *lane) valid(sh *shard, now time.Time) (int64, int64, bool) {
+	return l.n.valid(sh, l.n.isRoot.Load(), now)
+}
+
+// hit answers a query for key on the caller's goroutine when doing so
+// cannot change protocol state, and reports false when the query must go
+// to the lane. It never touches core.State or any other lane-owned field.
+// The conditions:
+//   - the shard exists and its published role agrees with the node's, which
+//     is false only while a promotion, abdication or reset is still
+//     working its way through the lanes — the lane orders those;
+//   - the node is the authority, or already in its own subscriber list:
+//     only then can counting the access not fire Figure 3 (A);
+//   - the copy is valid by lane.valid's predicate and unexpired (the lane
+//     lets a non-replicated authority answer past its expiry; a reader
+//     that cannot see the refresh schedule does not).
+//
+// The access lands in the same counters the lane bumps, so Figure 3 (D)
+// and the statistics see an inline hit exactly as they see a lane-served
+// one.
+func (n *node) hit(key int, now time.Time) (int64, bool) {
+	sh := n.laneForKey(key).lookup(key)
+	if sh == nil {
+		return 0, false
 	}
-	return 0, time.Time{}, false
+	root := n.isRoot.Load()
+	if sh.root.Load() != root || !(root || sh.interested.Load()) {
+		return 0, false
+	}
+	v, exp, ok := n.valid(sh, root, now)
+	if !ok || exp <= now.UnixNano() {
+		return 0, false
+	}
+	sh.count.Add(1)
+	n.nw.stats.queries.Add(1)
+	sh.kc.queries.Add(1)
+	n.nw.stats.localHits.Add(1)
+	sh.kc.localHits.Add(1)
+	return v, true
 }
 
 // access counts a query arrival on one key and applies the interest-gain
 // policy (Figure 3 A).
 func (l *lane) access(sh *shard) {
-	sh.count++
-	if sh.count > l.n.nw.cfg.Threshold && !sh.st.Interested() && !l.n.isRoot.Load() {
+	if sh.count.Add(1) > int64(l.n.nw.cfg.Threshold) && !sh.st.Interested() && !l.n.isRoot.Load() {
 		l.emit(sh, sh.st.BecomeInterested())
 	}
 }
@@ -2331,11 +2421,12 @@ func (l *lane) localQuery(c ctrlMsg) {
 	if v, _, ok := l.valid(sh, now); ok {
 		n.nw.stats.localHits.Add(1)
 		sh.kc.localHits.Add(1)
-		c.res <- QueryResult{Version: v, Hops: 0, Local: true}
+		c.w.res = QueryResult{Version: v, Hops: 0, Local: true}
+		c.w.complete()
 		return
 	}
 	l.nextSeq++
-	l.pending[l.nextSeq] = pendingQuery{res: c.res, expires: c.deadline}
+	l.pending[l.nextSeq] = pendingQuery{w: c.w, expires: c.deadline}
 	m := l.newMsg(proto.KindRequest, n.parent())
 	m.Key = c.key
 	m.Seq = l.nextSeq
@@ -2361,7 +2452,7 @@ func (l *lane) onRequest(m *proto.Message) {
 		m.To = m.Path[last]
 		m.Path = m.Path[:last]
 		m.Version = v
-		m.Expiry = timeToUnix(exp)
+		m.Expiry = nsToUnix(exp)
 		l.send(m)
 		return
 	}
@@ -2381,13 +2472,14 @@ func (l *lane) onRequest(m *proto.Message) {
 // origin it completes the pending query.
 func (l *lane) onReply(m *proto.Message) {
 	sh := l.shard(m.Key)
-	l.storeIn(sh, m.Version, unixToTime(m.Expiry))
+	l.storeIn(sh, m.Version, unixToNs(m.Expiry))
 	if len(m.Path) == 0 {
 		if p, ok := l.pending[m.Seq]; ok {
 			delete(l.pending, m.Seq)
 			l.n.nw.stats.queryHops.Add(int64(m.Hops))
 			sh.kc.queryHops.Add(int64(m.Hops))
-			p.res <- QueryResult{Version: m.Version, Hops: m.Hops}
+			p.w.res = QueryResult{Version: m.Version, Hops: m.Hops}
+			p.w.complete()
 		}
 		proto.Release(m)
 		return
@@ -2404,7 +2496,7 @@ func (l *lane) onPush(m *proto.Message) {
 	sh := l.shard(m.Key)
 	l.n.nw.stats.pushes.Add(1)
 	sh.kc.pushes.Add(1)
-	exp := unixToTime(m.Expiry)
+	exp := unixToNs(m.Expiry)
 	l.storeIn(sh, m.Version, exp)
 	if m.Version > sh.lastPushed {
 		sh.lastPushed = m.Version
@@ -2414,28 +2506,32 @@ func (l *lane) onPush(m *proto.Message) {
 
 // pushOut sends version v directly to every push target of one key's DUP
 // tree.
-func (l *lane) pushOut(sh *shard, v int64, exp time.Time) {
-	for _, target := range sh.st.PushTargets() {
+func (l *lane) pushOut(sh *shard, v, exp int64) {
+	l.targets = sh.st.AppendPushTargets(l.targets[:0])
+	for _, target := range l.targets {
 		m := l.newMsg(proto.KindPush, target)
 		m.Key = sh.key
 		m.Version = v
-		m.Expiry = timeToUnix(exp)
+		m.Expiry = nsToUnix(exp)
 		l.send(m)
 	}
 }
 
 // storeIn updates one key's cached copy, ignoring stale versions.
-func (l *lane) storeIn(sh *shard, v int64, exp time.Time) {
-	if sh.haveCopy && v < sh.cacheVer {
+func (l *lane) storeIn(sh *shard, v, exp int64) {
+	if sh.haveCopy && v < sh.cache.ver.Load() {
 		return
 	}
 	sh.haveCopy = true
-	sh.cacheVer = v
-	sh.cacheExp = exp
+	sh.cache.set(v, exp)
 }
 
 // emit sends one shard's state-machine actions to the current parent.
+// Every handler that can put the node into or take it out of its own
+// subscriber list returns its actions through here, so this is also where
+// the shard's interested flag is republished.
 func (l *lane) emit(sh *shard, acts []core.Action) {
+	sh.interested.Store(sh.st.Interested())
 	parent := l.n.parent()
 	for _, a := range acts {
 		switch a.Kind {

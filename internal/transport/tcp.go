@@ -346,9 +346,12 @@ func (t *TCP) writeLoop(pc *peerConn) {
 	defer t.wg.Done()
 	// Reused across bursts: the pooled frame buffers drained from the
 	// queue and the byte-slice views handed to writev. views entries are
-	// re-sliced by a partial write, so they are refilled every burst.
+	// re-sliced by a partial write, so they are refilled every burst. vecs
+	// lives out here because WriteTo has a pointer receiver: declared per
+	// burst it would cost one heap object per writev.
 	bufs := make([]*[]byte, 0, maxGather)
 	views := make([][]byte, maxGather)
+	var vecs net.Buffers
 	for {
 		conn := t.dial(pc.addr)
 		if conn == nil {
@@ -377,7 +380,7 @@ func (t *TCP) writeLoop(pc *peerConn) {
 			for i, b := range bufs {
 				views[i] = *b
 			}
-			vecs := net.Buffers(views[:len(bufs)])
+			vecs = views[:len(bufs)]
 			_, err := vecs.WriteTo(conn)
 			lastKind := frameKind(bufs[len(bufs)-1])
 			for _, b := range bufs {

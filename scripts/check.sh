@@ -9,9 +9,11 @@
 # codec, a grep
 # gate keeping internal callers off the deprecated *Key wrappers, the
 # perf regression guard against the newest BENCH_sim.json entry (run
-# without -race, where its bounds are meaningful), and a quick pass of
+# without -race, where its bounds are meaningful), a quick pass of
 # the performance harness (print-only, so it never mutates
-# BENCH_sim.json).
+# BENCH_sim.json), the read path's concurrency test ten times under the
+# race detector, the allocation guards without it, and a two-second run
+# of the repository benchmark for its own correctness checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,12 @@ go test -race ./...
 
 echo "== go test -race -count=1 (wire, transport, faults, live, store, chaos) =="
 go test -race -count=1 ./internal/wire/ ./internal/transport/ ./internal/faults/ ./internal/live/ ./internal/store/ ./internal/chaos/
+
+echo "== read-path concurrency (inline hits vs. republish, crash, key churn, fail-over; race x10) =="
+go test -race -count=10 -run 'TestConcurrentHotKeyReads' ./internal/live/
+
+echo "== allocation guards (no race: sync.Pool sheds items under -race) =="
+go test -count=1 -run 'Allocs' ./internal/live ./internal/core ./internal/transport
 
 echo "== chaos smoke (fixed seed, race) =="
 go test -race -count=1 -run 'TestChaosReproducible' ./internal/chaos/
@@ -60,5 +68,8 @@ go test -count=1 -run 'TestNoRegressionAgainstBaseline' ./internal/perf/
 
 echo "== perf smoke (quick, print-only) =="
 make perf-smoke
+
+echo "== benchmark smoke (exit code only: tree intact, versions monotone, proto.in_use_end = 0) =="
+go run ./bench -workload fanout-tcp -epochs 1 -window 2s >/dev/null
 
 echo "check.sh: all green"
