@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical pre-commit gate.
 
-.PHONY: check test bench perf perf-smoke perf-record cluster-demo chaos
+.PHONY: check test bench cluster-demo chaos
 
 check:
 	scripts/check.sh
@@ -28,16 +28,3 @@ chaos:
 
 bench:
 	go test -bench . -benchmem -benchtime 3x
-
-perf:
-	go run ./cmd/dupbench -perf
-
-# One measurement run per workload, print-only: the fast sanity pass
-# scripts/check.sh ends with (never mutates BENCH_sim.json).
-perf-smoke:
-	go run ./cmd/dupbench -perf -perfruns 1
-
-# Append a labelled entry to BENCH_sim.json, e.g.
-#   make perf-record LABEL="tuned heap sift"
-perf-record:
-	go run ./cmd/dupbench -perf -perflabel "$(LABEL)"

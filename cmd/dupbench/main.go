@@ -1,7 +1,6 @@
 // Command dupbench regenerates the paper's evaluation artifacts: every
 // table and figure from Section IV, plus the ablations and extensions
-// listed in DESIGN.md. It is also the front end of the performance
-// harness that maintains the BENCH_sim.json baseline.
+// listed in DESIGN.md.
 //
 // Examples:
 //
@@ -9,8 +8,6 @@
 //	dupbench -experiment fig4          # one figure, quick scale
 //	dupbench -all                      # the whole suite, quick scale
 //	dupbench -all -scale full          # the paper's 180000 s runs
-//	dupbench -perf                     # print simulator perf measurements
-//	dupbench -perf -perflabel "tuned"  # ... and append them to BENCH_sim.json
 //
 // An interrupt (Ctrl-C) cancels the in-flight simulations and exits;
 // experiment output already written stays on stdout.
@@ -23,11 +20,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"dup"
-	"dup/internal/perf"
 )
 
 func main() {
@@ -38,11 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base random seed")
 	replicas := flag.Int("replicas", 1, "independent replications per configuration (across-run means reported)")
 	csv := flag.Bool("csv", false, "emit CSV rows instead of aligned tables")
-	perfMode := flag.Bool("perf", false, "run the performance harness instead of experiments")
-	perfRuns := flag.Int("perfruns", 5, "perf: measurement repetitions per workload")
-	perfOut := flag.String("perfout", "", "perf: baseline file to append to (default: print only)")
-	perfLabel := flag.String("perflabel", "", "perf: entry label; implies -perfout BENCH_sim.json when -perfout is unset")
-	perfOnly := flag.String("perfonly", "", "perf: comma-separated workload ids to run (default: all); print-only")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -52,13 +42,6 @@ func main() {
 		for _, eid := range dup.ExperimentIDs() {
 			title, _ := dup.ExperimentTitle(eid)
 			fmt.Printf("%-22s %s\n", eid, title)
-		}
-		return
-	}
-
-	if *perfMode {
-		if err := runPerf(*perfRuns, *perfOut, *perfLabel, *perfOnly); err != nil {
-			fail(err)
 		}
 		return
 	}
@@ -80,7 +63,7 @@ func main() {
 	case *id != "":
 		ids = append(ids, *id)
 	default:
-		fail(fmt.Errorf("nothing to do: pass -experiment <id>, -all, -perf or -list"))
+		fail(fmt.Errorf("nothing to do: pass -experiment <id>, -all or -list"))
 	}
 
 	opts := dup.ExperimentOptions{
@@ -97,62 +80,6 @@ func main() {
 		fmt.Printf("\n[%s completed in %v at %s scale, %d replica(s)]\n",
 			eid, time.Since(start).Round(time.Millisecond), scale, max(*replicas, 1))
 	}
-}
-
-// runPerf measures the default workloads and prints the samples; with an
-// output path (or a label, which defaults the path) it also appends the
-// entry to the JSON baseline. A non-empty only list (comma-separated
-// workload ids) restricts the run for quick A/B iteration — restricted
-// runs never record, since the guard compares whole entries.
-func runPerf(runs int, out, label, only string) error {
-	if out == "" && label != "" {
-		out = "BENCH_sim.json"
-	}
-	workloads := perf.DefaultWorkloads()
-	if only != "" {
-		want := map[string]bool{}
-		for _, id := range strings.Split(only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-		kept := workloads[:0]
-		for _, w := range workloads {
-			if want[w.ID] {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			return fmt.Errorf("-perfonly %q matches no workload", only)
-		}
-		workloads = kept
-		if out != "" {
-			return fmt.Errorf("-perfonly runs are partial entries and cannot be recorded")
-		}
-	}
-	entry, err := perf.Collect(workloads, runs, label)
-	if err != nil {
-		return err
-	}
-	for _, w := range workloads {
-		s := entry.Samples[w.ID]
-		frames := ""
-		if s.FramesPerPush > 0 {
-			frames = fmt.Sprintf("  %.3f frames/push", s.FramesPerPush)
-		}
-		if s.FailoverMS > 0 {
-			frames += fmt.Sprintf("  %.0fms failover", s.FailoverMS)
-		}
-		fmt.Printf("%-16s %11.0f events/s  %7d allocs/run  %6.2f allocs/1k-events  %8d B/run%s  (%d runs, best %.3fs)\n",
-			w.ID, s.EventsPerSec, s.AllocsPerRun, s.AllocsPerKEvent, s.BytesPerRun, frames, s.Runs, s.BestWallSeconds)
-	}
-	if out == "" {
-		fmt.Println("(print only; pass -perfout or -perflabel to record)")
-		return nil
-	}
-	if err := perf.Append(out, entry); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %q in %s\n", label, out)
-	return nil
 }
 
 func fail(err error) {

@@ -82,8 +82,6 @@ func run() int {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 	flag.IntVar(&cfg.Keys, "keys", cfg.Keys, "keyed index trees per node at boot (0 means 1)")
 	flag.IntVar(&cfg.ShardLoops, "shards", cfg.ShardLoops, "shard lanes per node, keys spread key mod L (identical on every process; 0 means 1)")
-	flag.IntVar(&cfg.DrainBatch, "drain-batch", cfg.DrainBatch, "inbox messages one lane wakeup handles before flushing (0 means 64; 1 = message-at-a-time)")
-	readBurst := flag.Int("read-burst", 0, "frames one inbound TCP read dispatches as a burst (0 means 64; 1 = frame-at-a-time)")
 	flag.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "authority replication factor R: nodes 0..R-1 form the quorum (identical on every process; 0 or 1 disables)")
 	flag.DurationVar(&cfg.PermanentAfter, "perm-after", cfg.PermanentAfter, "silence horizon before the leaseholder declares a quorum member gone for good and replaces it (0 disables; must exceed -deadafter)")
 	flag.DurationVar(&cfg.RootAnnounceEvery, "announce-every", cfg.RootAnnounceEvery, "root sequence beacon period for the self-healing tree (0 disables)")
@@ -182,11 +180,10 @@ func run() int {
 	}
 
 	tr, err := transport.NewTCP(transport.TCPConfig{
-		Listen:    *listen,
-		Peers:     peers,
-		ReadBurst: *readBurst,
-		Seed:      cfg.Seed + uint64(hosts[0]) + 1,
-		Logf:      log.Printf,
+		Listen: *listen,
+		Peers:  peers,
+		Seed:   cfg.Seed + uint64(hosts[0]) + 1,
+		Logf:   log.Printf,
 	})
 	if err != nil {
 		return fail(err)
@@ -271,8 +268,8 @@ func run() int {
 // follow: config epoch, current member count, members suspected gone for
 // good, and whether a reconfiguration is in flight. Receive-path
 // pressure rides along (inbox refusals plus the drained-burst max/mean),
-// so saturation — InboxDepth or ShardLoops undersized for the inbound
-// rate — is diagnosable from the log alone. The line is append-only:
+// so saturation — -shards undersized for the inbound rate — is
+// diagnosable from the log alone. The line is append-only:
 // scripts grep its existing fields.
 func logStats(prefix string, s live.Stats) {
 	line := fmt.Sprintf("%s queries=%d local=%d pushes=%d subscribes=%d substitutes=%d keepalives=%d drops=%d retrans=%d acks=%d dups=%d giveups=%d announces=%d expiries=%d inboxdrops=%d burstmax=%d burstmean=%.1f",

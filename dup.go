@@ -241,18 +241,9 @@ type ExperimentOptions = experiments.Options
 // ExperimentIDs lists the reproducible tables, figures and ablations.
 func ExperimentIDs() []string { return experiments.IDs() }
 
-// RunExperiment regenerates one table or figure, writing the paper-shaped
-// rows to w with a single replica and table output.
-//
-// Deprecated: Use RunExperimentWith, which takes an ExperimentOptions and
-// so also selects replication, CSV output and a context. This wrapper is
-// kept for source compatibility and will not grow new parameters.
-func RunExperiment(w io.Writer, id string, scale ExperimentScale, seed uint64) error {
-	return RunExperimentWith(w, id, ExperimentOptions{Scale: scale, Seed: seed})
-}
-
-// RunExperimentWith regenerates one table or figure with full control over
-// replication and output format.
+// RunExperimentWith regenerates one table or figure, writing the
+// paper-shaped rows to w at the scale, seed, replica count and output
+// format opts selects.
 func RunExperimentWith(w io.Writer, id string, opts ExperimentOptions) error {
 	e, ok := experiments.ByID(id)
 	if !ok {

@@ -174,13 +174,14 @@ func TestExperimentRegistryAccessible(t *testing.T) {
 		t.Fatal("unknown experiment title accepted")
 	}
 	var b strings.Builder
-	if err := RunExperiment(&b, "table1", QuickScale, 1); err != nil {
+	opts := ExperimentOptions{Scale: QuickScale, Seed: 1}
+	if err := RunExperimentWith(&b, "table1", opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Table I") {
 		t.Fatalf("experiment output: %s", b.String())
 	}
-	if err := RunExperiment(&b, "nope", QuickScale, 1); err == nil {
+	if err := RunExperimentWith(&b, "nope", opts); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -35,8 +35,7 @@ func ExampleCompare() {
 }
 
 // Regenerate one of the paper's artifacts. ExperimentOptions also selects
-// replication, CSV output and a cancellation context; the deprecated
-// RunExperiment wrapper covers only scale and seed.
+// replication, CSV output and a cancellation context.
 func ExampleRunExperimentWith() {
 	var b strings.Builder
 	opts := dup.ExperimentOptions{Scale: dup.QuickScale, Seed: 1}

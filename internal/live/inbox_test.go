@@ -14,24 +14,24 @@ import (
 // on the dead-node path too. Nothing pooled may leak.
 func TestBurstHandlerFullInboxDropsAndBalances(t *testing.T) {
 	base := proto.InUse()
-	cfg := DefaultConfig()
-	cfg.InboxDepth = 4
-	nw := &Network{cfg: cfg, keyStats: map[int]*keyCounters{}}
+	nw := &Network{cfg: DefaultConfig(), keyStats: map[int]*keyCounters{}}
 	n := newNode(nw, 1, 0) // lanes never started: the inbox only fills
 
-	burst := make([]*proto.Message, 0, 10)
-	for i := 0; i < 10; i++ {
+	const overflow = 6
+	burst := make([]*proto.Message, 0, inboxDepth+overflow)
+	for i := 0; i < inboxDepth+overflow; i++ {
 		m := proto.NewMessage()
 		m.Kind, m.To, m.Origin, m.Seq = proto.KindPush, 1, 0, int64(i)
 		burst = append(burst, m)
 	}
 	n.burstHandler()(burst)
-	if got := nw.stats.inboxDrops.Load(); got != 6 {
-		t.Fatalf("10 messages into a depth-4 inbox: %d inbox drops, want 6", got)
+	if got := nw.stats.inboxDrops.Load(); got != overflow {
+		t.Fatalf("%d messages into a depth-%d inbox: %d inbox drops, want %d",
+			inboxDepth+overflow, inboxDepth, got, overflow)
 	}
-	if got := proto.InUse(); got != base+4 {
-		t.Fatalf("%d messages in use, want the 4 parked in the inbox (base %d, got %d)",
-			got-base, base, got)
+	if got := proto.InUse(); got != base+inboxDepth {
+		t.Fatalf("%d messages in use, want the %d parked in the inbox (base %d, got %d)",
+			got-base, inboxDepth, base, got)
 	}
 
 	// The per-message handler counts refusals into the same signal.
@@ -41,8 +41,8 @@ func TestBurstHandlerFullInboxDropsAndBalances(t *testing.T) {
 		t.Fatal("handler accepted into a full inbox")
 	}
 	proto.Release(m) // a refusal leaves ownership with the caller
-	if got := nw.stats.inboxDrops.Load(); got != 7 {
-		t.Fatalf("inbox drops = %d after a per-message refusal, want 7", got)
+	if got := nw.stats.inboxDrops.Load(); got != overflow+1 {
+		t.Fatalf("inbox drops = %d after a per-message refusal, want %d", got, overflow+1)
 	}
 
 	// A dead node refuses the whole burst.
@@ -54,8 +54,8 @@ func TestBurstHandlerFullInboxDropsAndBalances(t *testing.T) {
 		burst = append(burst, m)
 	}
 	n.burstHandler()(burst)
-	if got := nw.stats.inboxDrops.Load(); got != 10 {
-		t.Fatalf("inbox drops = %d after a dead-node burst, want 10", got)
+	if got := nw.stats.inboxDrops.Load(); got != overflow+4 {
+		t.Fatalf("inbox drops = %d after a dead-node burst, want %d", got, overflow+4)
 	}
 
 	n.drain() // release the parked messages, as Stop would

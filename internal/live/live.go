@@ -70,30 +70,12 @@ type Config struct {
 	// unacknowledged before the sender gives up and escalates into the
 	// Section III-C repair path. Zero means DeadAfter.
 	RetransmitDeadline time.Duration
-	// MaxUnacked bounds the per-node retransmit queue; beyond it reliable
-	// messages go out untracked and count as give-ups. Zero means 256.
-	MaxUnacked int
-	// DedupWindow is how many recent sequence numbers a receiver remembers
-	// per origin when absorbing retransmissions and transport duplicates.
-	// Zero means 128.
-	DedupWindow int
-	// InboxDepth is the per-node inbound message buffer; when it is full
-	// the transport counts a drop. Zero means 256.
-	InboxDepth int
-	// DrainBatch bounds how many inbox messages one lane wakeup handles:
-	// after blocking on one receive the lane opportunistically drains up
-	// to DrainBatch-1 more before recording state and flushing its
-	// outbox, so per-wakeup costs amortize across the burst the way the
-	// TCP writer's gather amortizes the write syscall. Zero means 64; 1
-	// restores strict message-at-a-time handling. Pure scheduling — no
-	// effect on the wire image.
-	DrainBatch int
 	// Keys is how many keyed index trees every hosted node participates in
 	// at boot (keys 0..Keys-1, each with its own DUP tree, authority
 	// schedule and interest window over the shared routing tree). Zero
 	// means 1 — the single-index protocol, byte-identical on the wire to
 	// the pre-multi-key format. Nodes also pick up keys lazily when
-	// traffic for them arrives, and per node via JoinKey/LeaveKey.
+	// traffic for them arrives, and per node via Key(k).Join/Leave.
 	Keys int
 	// ShardLoops runs each hosted node as that many parallel receive/ctrl
 	// loops ("lanes"), partitioning its keyed shards by key modulo the
@@ -152,12 +134,29 @@ func DefaultConfig() Config {
 		// past DeadAfter so keep-alive detection still fires first on a
 		// dead parent.
 		RootAnnounceEvery: 100 * time.Millisecond,
-		MaxUnacked:        256,
-		DedupWindow:       128,
-		InboxDepth:        256,
 		Seed:              1,
 	}
 }
+
+// Fixed per-lane queue and window bounds.
+const (
+	// maxUnacked bounds each lane's retransmit queue; beyond it reliable
+	// messages go out untracked and count as give-ups.
+	maxUnacked = 256
+	// dedupWindow is how many recent sequence numbers a receiver remembers
+	// per origin when absorbing retransmissions and transport duplicates.
+	dedupWindow = 128
+	// inboxDepth is each lane's inbound message buffer; when it is full
+	// the transport counts a drop.
+	inboxDepth = 256
+	// drainBatch bounds how many inbox messages one lane wakeup handles:
+	// after blocking on one receive the lane opportunistically drains up
+	// to drainBatch-1 more before recording state and flushing its
+	// outbox, so per-wakeup costs amortize across the burst the way the
+	// TCP writer's gather amortizes the write syscall. Pure scheduling —
+	// no effect on the wire image.
+	drainBatch = 64
+)
 
 // Validate reports the first configuration problem, or nil.
 func (c *Config) Validate() error {
@@ -198,11 +197,6 @@ func (c *Config) Validate() error {
 	case c.retransmitDeadline() <= c.retransmitAfter():
 		return fmt.Errorf("live: need RetransmitDeadline > RetransmitAfter, got %v, %v",
 			c.retransmitDeadline(), c.retransmitAfter())
-	case c.MaxUnacked < 0 || c.DedupWindow < 0 || c.InboxDepth < 0:
-		return fmt.Errorf("live: need MaxUnacked, DedupWindow and InboxDepth >= 0, got %d, %d, %d",
-			c.MaxUnacked, c.DedupWindow, c.InboxDepth)
-	case c.DrainBatch < 0:
-		return fmt.Errorf("live: need DrainBatch >= 0, got %d", c.DrainBatch)
 	case c.Keys < 0:
 		return fmt.Errorf("live: need Keys >= 0, got %d", c.Keys)
 	case c.ShardLoops < 0:
@@ -220,38 +214,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("live: need Replicas <= tree size, got %d > %d", c.Replicas, c.Tree.N())
 	}
 	return nil
-}
-
-// maxUnacked resolves the effective retransmit-queue bound.
-func (c *Config) maxUnacked() int {
-	if c.MaxUnacked > 0 {
-		return c.MaxUnacked
-	}
-	return 256
-}
-
-// dedupWindow resolves the effective per-origin dedup window size.
-func (c *Config) dedupWindow() int {
-	if c.DedupWindow > 0 {
-		return c.DedupWindow
-	}
-	return 128
-}
-
-// inboxDepth resolves the effective inbound buffer depth.
-func (c *Config) inboxDepth() int {
-	if c.InboxDepth > 0 {
-		return c.InboxDepth
-	}
-	return 256
-}
-
-// drainBatch resolves the effective per-wakeup inbox drain bound.
-func (c *Config) drainBatch() int {
-	if c.DrainBatch > 0 {
-		return c.DrainBatch
-	}
-	return 64
 }
 
 // keys resolves the effective boot-time key count.
@@ -345,11 +307,11 @@ type Stats struct {
 	Drops       int64
 	DropsByKind [proto.NumKinds]int64
 	// Receive-path pressure: InboxDrops counts inbound messages the
-	// hosted nodes refused (dead node, or the owning lane's inbox full —
-	// the signal that InboxDepth or ShardLoops is undersized for the
+	// hosted nodes refused (dead node, or the owning lane's inbox full at
+	// inboxDepth — the signal that ShardLoops is undersized for the
 	// load); InboxBurstMax and InboxBurstMean describe how many messages
 	// one lane wakeup drained from its inbox — a mean near 1 is an idle
-	// cluster, a mean near Config.DrainBatch a saturated one.
+	// cluster, a mean near drainBatch a saturated one.
 	InboxDrops     int64
 	InboxBurstMax  int64
 	InboxBurstMean float64
@@ -716,13 +678,6 @@ func (nw *Network) kc(key int) *keyCounters {
 	return c
 }
 
-// StatsKey returns one keyed index tree's counter snapshot.
-//
-// Deprecated: use Network.Key(key).Stats instead.
-func (nw *Network) StatsKey(key int) KeyStats {
-	return nw.Key(key).Stats()
-}
-
 // Keys returns every key that has a counter registry entry on this
 // Network (every key any hosted node ever sharded), sorted ascending.
 func (nw *Network) Keys() []int {
@@ -780,13 +735,6 @@ func (nw *Network) Inspect(id int, timeout time.Duration) (NodeInfo, error) {
 	return nw.Key(0).Inspect(id, timeout)
 }
 
-// InspectKey is Inspect for one keyed index tree.
-//
-// Deprecated: use Network.Key(key).Inspect instead.
-func (nw *Network) InspectKey(id, key int, timeout time.Duration) (NodeInfo, error) {
-	return nw.Key(key).Inspect(id, timeout)
-}
-
 // node returns the hosted node for id, or nil.
 func (nw *Network) node(id int) *node {
 	nw.mu.RLock()
@@ -818,13 +766,6 @@ func (nw *Network) RootID() int { return nw.dir.RootID() }
 // to timeout for the answer.
 func (nw *Network) Query(at int, timeout time.Duration) (QueryResult, error) {
 	return nw.Key(0).Query(at, timeout)
-}
-
-// QueryKey is Query against one keyed index tree.
-//
-// Deprecated: use Network.Key(key).Query instead.
-func (nw *Network) QueryKey(at, key int, timeout time.Duration) (QueryResult, error) {
-	return nw.Key(key).Query(at, timeout)
 }
 
 // Fail kills a hosted node abruptly: it stops processing messages.
@@ -988,23 +929,9 @@ func (nw *Network) Reboot(id int, states []store.NodeState) error {
 	return nil
 }
 
-// JoinKey makes a hosted node a participant in one keyed index tree.
-//
-// Deprecated: use Network.Key(key).Join instead.
-func (nw *Network) JoinKey(id, key int) error {
-	return nw.Key(key).Join(id)
-}
-
-// LeaveKey departs a hosted node from one keyed index tree.
-//
-// Deprecated: use Network.Key(key).Leave instead.
-func (nw *Network) LeaveKey(id, key int) error {
-	return nw.Key(key).Leave(id)
-}
-
 // KeyHandle scopes Network operations to one keyed index tree. It is the
-// keyed API surface: nw.Key(k).Query(...) replaces the older pairs of
-// key-0 methods and *Key variants. Handles are cheap values — build them
+// keyed API surface: nw.Key(k).Query(...) for any key, with the key-0
+// methods on Network as shorthands. Handles are cheap values — build them
 // on the fly or keep one per key; they hold no state beyond the key.
 type KeyHandle struct {
 	nw  *Network

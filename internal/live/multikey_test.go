@@ -224,42 +224,6 @@ func TestJoinKeyLeaveKey(t *testing.T) {
 	queryKey(t, nw, 1, 1, 2*time.Second)
 }
 
-// TestDeprecatedKeyWrappers pins the compatibility contract: the old
-// per-key method names (QueryKey, StatsKey, InspectKey, JoinKey,
-// LeaveKey) must keep working and behave exactly like the Key(k) handle
-// they now delegate to.
-func TestDeprecatedKeyWrappers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tree = topology.FromParents([]int{-1, 0, 0})
-	cfg.Nodes = 0
-	cfg.Keys = 2
-	nw, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Stop()
-
-	if _, err := nw.QueryKey(1, 1, 2*time.Second); err != nil {
-		t.Fatalf("QueryKey: %v", err)
-	}
-	if got, want := nw.StatsKey(1), nw.Key(1).Stats(); got != want {
-		t.Fatalf("StatsKey(1) = %+v, Key(1).Stats() = %+v", got, want)
-	}
-	in, err := nw.InspectKey(1, 1, time.Second)
-	if err != nil {
-		t.Fatalf("InspectKey: %v", err)
-	}
-	if !hasKey(in.Keys, 1) {
-		t.Fatalf("InspectKey(1, 1): keys %v", in.Keys)
-	}
-	if err := nw.LeaveKey(1, 1); err != nil {
-		t.Fatalf("LeaveKey: %v", err)
-	}
-	if err := nw.JoinKey(1, 1); err != nil {
-		t.Fatalf("JoinKey: %v", err)
-	}
-}
-
 func hasKey(keys []int, key int) bool {
 	for _, k := range keys {
 		if k == key {

@@ -112,14 +112,13 @@ type batchRec struct {
 
 // seqWindow dedups inbound (origin, seq) pairs so retransmissions and
 // transport-level duplicates are absorbed instead of re-applied. It
-// remembers the most recent limit (Config.DedupWindow) sequence numbers;
-// eviction is FIFO, which is safe because a sender only ever retransmits
-// its few most recent unacknowledged messages.
+// remembers the most recent dedupWindow sequence numbers; eviction is
+// FIFO, which is safe because a sender only ever retransmits its few most
+// recent unacknowledged messages.
 type seqWindow struct {
-	seen  map[int64]struct{}
-	fifo  []int64
-	next  int
-	limit int
+	seen map[int64]struct{}
+	fifo []int64
+	next int
 }
 
 // observe records seq and reports whether it was already seen.
@@ -127,12 +126,12 @@ func (w *seqWindow) observe(seq int64) bool {
 	if _, ok := w.seen[seq]; ok {
 		return true
 	}
-	if len(w.fifo) < w.limit {
+	if len(w.fifo) < dedupWindow {
 		w.fifo = append(w.fifo, seq)
 	} else {
 		delete(w.seen, w.fifo[w.next])
 		w.fifo[w.next] = seq
-		w.next = (w.next + 1) % w.limit
+		w.next = (w.next + 1) % dedupWindow
 	}
 	w.seen[seq] = struct{}{}
 	return false
@@ -207,7 +206,7 @@ type shard struct {
 	count         atomic.Int64
 	intervalStart time.Time
 
-	// Per-key stats sink (registry entry shared with Network.StatsKey).
+	// Per-key stats sink (registry entry shared with KeyHandle.Stats).
 	kc *keyCounters
 
 	// Durable state. lastRec is the last journal record written for this
@@ -395,7 +394,7 @@ func newNode(nw *Network, id, parent int) *node {
 			n:       n,
 			idx:     i,
 			stride:  int64(loops),
-			inbox:   make(chan *proto.Message, nw.cfg.inboxDepth()),
+			inbox:   make(chan *proto.Message, inboxDepth),
 			ctrl:    make(chan ctrlMsg, 16),
 			pending: map[int64]pendingQuery{},
 			relSeq:  base + int64(i),
@@ -697,7 +696,7 @@ func (sh *shard) setRoot(root bool) {
 	sh.root.Store(root)
 }
 
-// dropShard removes one keyed shard (LeaveKey); key 0 never drops.
+// dropShard removes one keyed shard (KeyHandle.Leave); key 0 never drops.
 func (l *lane) dropShard(key int) {
 	if key == 0 {
 		return
@@ -843,7 +842,7 @@ func (l *lane) track(m *proto.Message) {
 			}
 		}
 	}
-	if len(l.unacked) >= l.n.nw.cfg.maxUnacked() {
+	if len(l.unacked) >= maxUnacked {
 		l.n.nw.stats.giveUps.Add(1)
 		return
 	}
@@ -933,14 +932,14 @@ func (l *lane) run() {
 			}
 			l.handleMsg(m, false)
 			// Opportunistic batch drain: one wakeup handles whatever else
-			// the inbox already holds (bounded by DrainBatch), so the
+			// the inbox already holds (bounded by drainBatch), so the
 			// select, the journal record and the outbox flush amortize
 			// across the burst — the receive-side mirror of the writer's
 			// gather. Bounded so ctrl injections and ticks stay live under
 			// sustained inbound load.
 			batch := 1
 		drain:
-			for limit := n.nw.cfg.drainBatch(); batch < limit; {
+			for batch < drainBatch {
 				select {
 				case m := <-l.inbox:
 					if n.dead.Load() {
@@ -1909,7 +1908,7 @@ func (l *lane) ackTo(m *proto.Message) {
 func (l *lane) dedup(origin int, seq int64) bool {
 	w := l.seen[origin]
 	if w == nil {
-		w = &seqWindow{seen: map[int64]struct{}{}, limit: l.n.nw.cfg.dedupWindow()}
+		w = &seqWindow{seen: map[int64]struct{}{}}
 		l.seen[origin] = w
 	}
 	return w.observe(seq)

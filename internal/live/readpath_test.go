@@ -289,7 +289,7 @@ func TestPushForwardAllocs(t *testing.T) {
 		l.handleMsg(m, false)
 		l.flush()
 	}
-	for i := 0; i < 2*n.nw.cfg.dedupWindow(); i++ { // fill the dedup window and the freelists
+	for i := 0; i < 2*dedupWindow; i++ { // fill the dedup window and the freelists
 		push()
 	}
 	if allocs := testing.AllocsPerRun(1000, push); allocs != 0 {

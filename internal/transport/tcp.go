@@ -39,12 +39,6 @@ type TCPConfig struct {
 	// KeepAlivePeriod is the TCP-level keep-alive interval on every
 	// connection (default 15s; <0 disables).
 	KeepAlivePeriod time.Duration
-	// ReadBurst caps how many frames one inbound read gathers before
-	// dispatching them as a burst (default wire.DefaultBurstFrames, the
-	// receive-side mirror of the 64-frame write gather). Raising it
-	// amortizes per-wakeup costs further under sustained load at the cost
-	// of per-burst latency; 1 degrades to frame-at-a-time dispatch.
-	ReadBurst int
 	// Seed drives the backoff jitter.
 	Seed uint64
 	// Logf, when set, receives connection lifecycle diagnostics.
@@ -485,9 +479,11 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one inbound connection in bursts and
-// dispatches each burst to the registered handlers. Handler lookup is one
-// atomic table load per burst — the hot path never takes t.mu.
+// readLoop decodes frames off one inbound connection in bursts of up to
+// wire.DefaultBurstFrames (the receive-side mirror of the 64-frame write
+// gather) and dispatches each burst to the registered handlers. Handler
+// lookup is one atomic table load per burst — the hot path never takes
+// t.mu.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -498,7 +494,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}()
 	r := wire.NewReader(conn)
 	for {
-		ms, err := r.ReadBurst(t.cfg.ReadBurst)
+		ms, err := r.ReadBurst(wire.DefaultBurstFrames)
 		if len(ms) > 0 {
 			// Frames decoded ahead of a stream error still dispatch: a
 			// connection torn mid-burst loses the torn frame, nothing
