@@ -98,7 +98,7 @@ type harness struct {
 	wraps  map[int]*faults.Transport
 	nets   map[int]*live.Network
 	mems   map[int]*store.Mem
-	dir    *live.DynDirectory
+	dir    *live.Directory
 	hot    []int
 	down   map[int]bool
 	rr     int
@@ -163,7 +163,7 @@ func newHarness(cfg Config) (*harness, error) {
 		wraps:  map[int]*faults.Transport{},
 		nets:   map[int]*live.Network{},
 		mems:   map[int]*store.Mem{},
-		dir:    live.NewDynDirectory(tree, cfg.MaxDegree),
+		dir:    live.NewMemDirectory(tree),
 		down:   map[int]bool{},
 	}
 	if cfg.Quorum || cfg.Reconfig {

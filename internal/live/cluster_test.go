@@ -13,7 +13,7 @@ import (
 
 // bootTCPCluster starts one Network per host set, each on its own TCP
 // transport bound to 127.0.0.1 behind a fault wrapper, all sharing one
-// MemDirectory — a loopback stand-in for a multi-process deployment.
+// in-process Directory — a loopback stand-in for a multi-process deployment.
 // Every message between host sets crosses a real socket, and each
 // endpoint's wrapper is the handle for hurting it.
 func bootTCPCluster(t *testing.T, cfg Config, hostSets [][]int) ([]*Network, []*faults.Transport) {

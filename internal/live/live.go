@@ -62,14 +62,6 @@ type Config struct {
 	// exceed DeadAfter so the keep-alive failure detector gets first shot
 	// at a genuinely dead parent.
 	RootExpireAfter time.Duration
-	// RetransmitAfter is the initial backoff before an unacknowledged
-	// reliable message (push, subscribe, unsubscribe, substitute) is sent
-	// again; it doubles per retry. Zero means KeepAliveEvery.
-	RetransmitAfter time.Duration
-	// RetransmitDeadline bounds how long a reliable message may stay
-	// unacknowledged before the sender gives up and escalates into the
-	// Section III-C repair path. Zero means DeadAfter.
-	RetransmitDeadline time.Duration
 	// Keys is how many keyed index trees every hosted node participates in
 	// at boot (keys 0..Keys-1, each with its own DUP tree, authority
 	// schedule and interest window over the shared routing tree). Zero
@@ -124,7 +116,7 @@ func DefaultConfig() Config {
 		Nodes:          64,
 		MaxDegree:      4,
 		TTL:            400 * time.Millisecond,
-		Lead:           80 * time.Millisecond,
+		Lead:           100 * time.Millisecond,
 		Threshold:      3,
 		HopDelay:       time.Millisecond,
 		KeepAliveEvery: 40 * time.Millisecond,
@@ -191,12 +183,6 @@ func (c *Config) Validate() error {
 	case c.RootAnnounceEvery > 0 && c.rootExpireAfter() <= c.DeadAfter:
 		return fmt.Errorf("live: need RootExpireAfter > DeadAfter, got %v, %v",
 			c.rootExpireAfter(), c.DeadAfter)
-	case c.RetransmitAfter < 0 || c.RetransmitDeadline < 0:
-		return fmt.Errorf("live: need RetransmitAfter and RetransmitDeadline >= 0, got %v, %v",
-			c.RetransmitAfter, c.RetransmitDeadline)
-	case c.retransmitDeadline() <= c.retransmitAfter():
-		return fmt.Errorf("live: need RetransmitDeadline > RetransmitAfter, got %v, %v",
-			c.retransmitDeadline(), c.retransmitAfter())
 	case c.Keys < 0:
 		return fmt.Errorf("live: need Keys >= 0, got %d", c.Keys)
 	case c.ShardLoops < 0:
@@ -257,22 +243,6 @@ func (c *Config) rootExpireAfter() time.Duration {
 
 // announceOn reports whether the soft-state tree beacon is enabled.
 func (c *Config) announceOn() bool { return c.RootAnnounceEvery > 0 }
-
-// retransmitAfter resolves the effective initial retransmit backoff.
-func (c *Config) retransmitAfter() time.Duration {
-	if c.RetransmitAfter > 0 {
-		return c.RetransmitAfter
-	}
-	return c.KeepAliveEvery
-}
-
-// retransmitDeadline resolves the effective retransmit give-up bound.
-func (c *Config) retransmitDeadline() time.Duration {
-	if c.RetransmitDeadline > 0 {
-		return c.RetransmitDeadline
-	}
-	return c.DeadAfter
-}
 
 // BuildTree returns the index search tree the configuration describes: the
 // preset Tree when set, otherwise a deterministic function of Nodes,
@@ -386,9 +356,9 @@ type Options struct {
 	// ownership and closes it on Stop.
 	Transport transport.Transport
 	// Directory is the DHT routing stand-in. In-process clusters share
-	// one MemDirectory; cross-process clusters each hold a
-	// StaticDirectory over the same tree.
-	Directory Directory
+	// one, built by NewMemDirectory; cross-process clusters each hold one
+	// built by NewStaticDirectory over the same tree.
+	Directory *Directory
 	// Hosts lists the node ids this Network runs. Ids must be in
 	// [0, tree size). Hosts may be empty: such a Network starts with no
 	// nodes and populates itself through Join.
@@ -425,7 +395,7 @@ type Options struct {
 type Network struct {
 	cfg     Config
 	tr      transport.Transport
-	dir     Directory
+	dir     *Directory
 	journal store.Journal
 
 	// mu guards the mutable membership below: hosted grows on Join and
@@ -472,9 +442,7 @@ func Start(cfg Config) (*Network, error) {
 	for i := range hosts {
 		hosts[i] = i
 	}
-	// The dynamic directory keeps MemDirectory's oracle semantics and
-	// additionally supports live Join/Leave.
-	return boot(cfg, tree, tr, NewDynDirectory(tree, cfg.MaxDegree), hosts, Options{})
+	return boot(cfg, tree, tr, NewMemDirectory(tree), hosts, Options{})
 }
 
 // StartWith boots the hosted part of a cluster over the given transport
@@ -496,7 +464,7 @@ func StartWith(cfg Config, opts Options) (*Network, error) {
 	return boot(cfg, tree, opts.Transport, opts.Directory, opts.Hosts, opts)
 }
 
-func boot(cfg Config, tree *topology.Tree, tr transport.Transport, dir Directory, hosts []int, opts Options) (*Network, error) {
+func boot(cfg Config, tree *topology.Tree, tr transport.Transport, dir *Directory, hosts []int, opts Options) (*Network, error) {
 	nw := &Network{
 		cfg:      cfg,
 		tr:       tr,
@@ -801,32 +769,8 @@ func (nw *Network) Recover(id int) {
 	n.lanes[0].postCtrl(ctrlMsg{kind: cReset, parent: nw.dir.AliveAncestor(id, nil)})
 }
 
-// directoryParent is the DHT stand-in: the routing parent of id.
-func (nw *Network) directoryParent(id int) int { return nw.dir.Parent(id) }
-
-// Members returns the current roster: the directory's membership when it
-// is dynamic, otherwise every id in the static tree.
-func (nw *Network) Members() []int {
-	if dyn, ok := nw.dir.(Dynamic); ok {
-		return dyn.Members()
-	}
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	out := make([]int, nw.size)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// dynamic returns the membership-capable directory, or an error when the
-// configured Directory cannot mutate its node set.
-func (nw *Network) dynamic() (Dynamic, error) {
-	if dyn, ok := nw.dir.(Dynamic); ok {
-		return dyn, nil
-	}
-	return nil, fmt.Errorf("live: directory %T does not support membership changes", nw.dir)
-}
+// Members returns the directory's current roster, ascending.
+func (nw *Network) Members() []int { return nw.dir.Members() }
 
 // Join attaches a brand-new node to the running cluster: the directory
 // inserts it into the index search tree (epoch-stamped, so races against
@@ -836,10 +780,6 @@ func (nw *Network) dynamic() (Dynamic, error) {
 // when it holds a valid index copy. The joiner builds interest from
 // scratch like any cold node.
 func (nw *Network) Join(id int) error {
-	dyn, err := nw.dynamic()
-	if err != nil {
-		return err
-	}
 	if nw.stopped.Load() {
 		return errors.New("live: network is stopped")
 	}
@@ -848,7 +788,7 @@ func (nw *Network) Join(id int) error {
 	if nw.hosted[id] != nil {
 		return fmt.Errorf("live: node %d is already hosted here", id)
 	}
-	parent, err := dyn.Join(id)
+	parent, err := nw.dir.Join(id)
 	if err != nil {
 		return err
 	}
@@ -876,10 +816,6 @@ func (nw *Network) Join(id int) error {
 // waiting a keep-alive death to notice. Leave waits up to timeout for the
 // departure announcements to be acknowledged, then deregisters the node.
 func (nw *Network) Leave(id int, timeout time.Duration) error {
-	dyn, err := nw.dynamic()
-	if err != nil {
-		return err
-	}
 	nw.mu.Lock()
 	n := nw.hosted[id]
 	if n == nil {
@@ -888,8 +824,8 @@ func (nw *Network) Leave(id int, timeout time.Duration) error {
 	}
 	// Snapshot the children before the directory re-homes them: they are
 	// exactly the peers whose keep-alive parent is about to vanish.
-	children := dyn.Children(id)
-	if err := dyn.Leave(id); err != nil {
+	children := nw.dir.Children(id)
+	if err := nw.dir.Leave(id); err != nil {
 		nw.mu.Unlock()
 		return err
 	}

@@ -51,6 +51,16 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestDefaultRefreshPeriodOffKeepAliveGrid pins the default refresh
+// period TTL-Lead off the keep-alive tick grid: on an exact multiple, timer
+// jitter flips each lane's refresh between two tick-aligned periods.
+func TestDefaultRefreshPeriodOffKeepAliveGrid(t *testing.T) {
+	c := DefaultConfig()
+	if refresh := c.TTL - c.Lead; refresh%c.KeepAliveEvery == 0 {
+		t.Fatalf("default TTL-Lead = %v is a whole multiple of KeepAliveEvery = %v", refresh, c.KeepAliveEvery)
+	}
+}
+
 func TestQueriesResolveEverywhere(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 32
@@ -114,7 +124,7 @@ func TestInteriorNodeFailureHeals(t *testing.T) {
 	}
 	defer nw.Stop()
 	// Find an interior node: the parent of the last node.
-	victim := nw.directoryParent(nw.Nodes() - 1)
+	victim := nw.dir.Parent(nw.Nodes() - 1)
 	if victim <= 0 {
 		t.Skip("last node attaches directly to the root in this topology")
 	}

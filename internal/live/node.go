@@ -803,7 +803,7 @@ func (l *lane) flush() {
 			if rec != nil {
 				l.relSeq += l.stride
 				env.Seq = l.relSeq
-				rec.deadline = time.Now().Add(l.n.nw.cfg.retransmitDeadline())
+				rec.deadline = time.Now().Add(l.n.nw.cfg.DeadAfter)
 				l.batches[env.Seq] = rec
 			}
 			l.n.nw.tr.Send(env)
@@ -824,7 +824,7 @@ func (l *lane) flush() {
 // keep coming.
 func (l *lane) track(m *proto.Message) {
 	now := time.Now()
-	deadline := now.Add(l.n.nw.cfg.retransmitDeadline())
+	deadline := now.Add(l.n.nw.cfg.DeadAfter)
 	if m.Kind == proto.KindPush {
 		for seq, e := range l.unacked {
 			if e.kind == proto.KindPush && e.to == m.To && e.key == m.Key {
@@ -848,7 +848,7 @@ func (l *lane) track(m *proto.Message) {
 	}
 	l.relSeq += l.stride
 	m.Seq = l.relSeq
-	backoff := l.n.nw.cfg.retransmitAfter()
+	backoff := l.n.nw.cfg.KeepAliveEvery
 	e := l.getRel()
 	e.kind = m.Kind
 	e.to = m.To
@@ -1116,7 +1116,7 @@ func (l *lane) tick(now time.Time) {
 		}
 		if now.After(e.retryAt) {
 			e.backoff *= 2
-			if limit := 8 * cfg.retransmitAfter(); e.backoff > limit {
+			if limit := 8 * cfg.KeepAliveEvery; e.backoff > limit {
 				e.backoff = limit
 			}
 			e.retryAt = now.Add(e.backoff)
@@ -1982,9 +1982,7 @@ func (l *lane) sendJoin() {
 		return
 	}
 	m := l.newMsg(proto.KindJoin, parent)
-	if dyn, ok := l.n.nw.dir.(Dynamic); ok {
-		m.Version = int64(dyn.Epoch())
-	}
+	m.Version = int64(l.n.nw.dir.Epoch())
 	l.send(m)
 }
 
@@ -1999,9 +1997,7 @@ func (l *lane) joinKey(key int) {
 	}
 	m := l.newMsg(proto.KindJoin, parent)
 	m.Key = key
-	if dyn, ok := l.n.nw.dir.(Dynamic); ok {
-		m.Version = int64(dyn.Epoch())
-	}
+	m.Version = int64(l.n.nw.dir.Epoch())
 	l.send(m)
 }
 

@@ -116,10 +116,11 @@ func TestDuplicateDeliveriesAreSuppressed(t *testing.T) {
 	}
 }
 
-// TestAckTimeoutEscalatesToRepair kills a subscriber's endpoint silently
-// and asserts the sender's retransmit deadline escalates into the Section
-// III-C path: the dead neighbour is unsubscribed without waiting for the
-// keep-alive detector alone.
+// TestAckTimeoutEscalatesToRepair drops every push to a subscriber and
+// asserts the sender's retransmit deadline escalates into the Section
+// III-C path: the unresponsive neighbour is unsubscribed even though its
+// keep-alives stay healthy, so the keep-alive detector cannot be what
+// noticed.
 func TestAckTimeoutEscalatesToRepair(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Tree = topology.FromParents([]int{-1, 0})
@@ -127,10 +128,6 @@ func TestAckTimeoutEscalatesToRepair(t *testing.T) {
 	cfg.Lead = 50 * time.Millisecond
 	cfg.Threshold = 1
 	cfg.HopDelay = 100 * time.Microsecond
-	cfg.KeepAliveEvery = 15 * time.Millisecond
-	cfg.DeadAfter = 10 * time.Second // keep-alive detection effectively off
-	cfg.RetransmitAfter = 20 * time.Millisecond
-	cfg.RetransmitDeadline = 150 * time.Millisecond
 	nw, f := bootFaulty(t, cfg, faults.Config{Seed: 3})
 
 	query(t, nw, 1, 2*time.Second)
@@ -140,13 +137,15 @@ func TestAckTimeoutEscalatesToRepair(t *testing.T) {
 		return err == nil && len(in.PushTargets) > 0 && nw.Stats().Pushes > 0
 	})
 
-	// Silently eat everything to node 1: pushes go unacked, and with the
-	// keep-alive detector out of the picture only the retransmit deadline
-	// can notice. Keep node 1 hot while waiting so the interest policy
-	// doesn't unsubscribe it first and mask the escalation.
-	f.Block(1)
-	waitUntil(t, 8*cfg.TTL, "ack timeout to unsubscribe the dead neighbour", func() bool {
-		nw.Query(1, 50*time.Millisecond) // keep interest up; replies may be blocked
+	// Silently eat pushes to node 1, bare or coalesced (BlockKind matches
+	// only the top-level kind): they go unacked while keep-alives still
+	// flow, so only the retransmit deadline can notice. Keep node 1 hot
+	// while waiting so the interest policy doesn't unsubscribe it first and
+	// mask the escalation.
+	f.BlockKind(1, proto.KindPush)
+	f.BlockKind(1, proto.KindBatch)
+	waitUntil(t, 8*cfg.TTL, "ack timeout to unsubscribe the unresponsive neighbour", func() bool {
+		nw.Query(1, 50*time.Millisecond) // keep interest up
 		in, err := nw.Inspect(0, time.Second)
 		return err == nil && nw.Stats().RetransmitGiveUps > 0 && len(in.Subscribers) == 0
 	})

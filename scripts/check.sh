@@ -21,18 +21,6 @@ go test -race -count=10 -run 'TestConcurrentHotKeyReads' ./internal/live/
 echo "== allocation guards (no race: sync.Pool sheds items under -race) =="
 go test -count=1 -run 'Allocs' ./internal/live ./internal/core ./internal/transport ./internal/sim
 
-echo "== chaos smoke (fixed seed, race) =="
-go test -race -count=1 -run 'TestChaosReproducible' ./internal/chaos/
-
-echo "== quorum chaos smoke (replicated authority, fixed seed, race) =="
-go test -race -count=1 -run 'TestChaosQuorumPartition' ./internal/chaos/
-
-echo "== rootchurn chaos smoke (soft-state tree beacon, fixed seed, race) =="
-go test -race -count=1 -run 'TestChaosRootChurn' ./internal/chaos/
-
-echo "== reconfig chaos smoke (online membership change, fixed seed, race) =="
-go test -race -count=1 -run 'TestChaosReconfig' ./internal/chaos/
-
 echo "== fuzz smoke (wire codec) =="
 go test -run '^$' -fuzz 'FuzzDecodeEncode' -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz 'FuzzFrameReader' -fuzztime 5s ./internal/wire/
