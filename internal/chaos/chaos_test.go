@@ -203,9 +203,10 @@ PASS
 
 // TestChaosEquivalencePreReplica pins the unreplicated harness to its
 // pre-replica behaviour: a default seed-7 run must reproduce the golden
-// report byte for byte. Together with the wire package's golden frame
-// vectors this is the Replicas=1 equivalence guarantee of the replica
-// subsystem.
+// report byte for byte. The report is verdict text, not frame bytes (the
+// in-process Chan transport never encodes messages), so it also holds
+// across wire format changes; the wire package's golden vectors pin the
+// bytes separately.
 func TestChaosEquivalencePreReplica(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7

@@ -52,8 +52,7 @@ type Config struct {
 	// bumps a root sequence number that often and floods it down the
 	// keep-alive tree, and every node re-advertises its root path by
 	// forwarding the beacon to its children. Zero disables announces — the
-	// tree is pure hard state repaired by keep-alive misses, byte-identical
-	// on the wire to the pre-announce protocol.
+	// tree is pure hard state repaired by keep-alive misses.
 	RootAnnounceEvery time.Duration
 	// RootExpireAfter is how long a node lets its observed root sequence
 	// stall before declaring its root path stale and re-selecting a parent
@@ -65,9 +64,8 @@ type Config struct {
 	// Keys is how many keyed index trees every hosted node participates in
 	// at boot (keys 0..Keys-1, each with its own DUP tree, authority
 	// schedule and interest window over the shared routing tree). Zero
-	// means 1 — the single-index protocol, byte-identical on the wire to
-	// the pre-multi-key format. Nodes also pick up keys lazily when
-	// traffic for them arrives, and per node via Key(k).Join/Leave.
+	// means 1 — the single-index protocol. Nodes also pick up keys lazily
+	// when traffic for them arrives, and per node via Key(k).Join/Leave.
 	Keys int
 	// ShardLoops runs each hosted node as that many parallel receive/ctrl
 	// loops ("lanes"), partitioning its keyed shards by key modulo the
@@ -77,7 +75,7 @@ type Config struct {
 	// lane, which is how receivers route acknowledgements without parsing
 	// payloads — so, like Nodes, MaxDegree and Seed, every process of a
 	// cluster must use the same ShardLoops. Zero means 1: one loop per
-	// node, byte-identical behaviour to the unsharded protocol.
+	// node.
 	ShardLoops int
 	// Replicas is how many nodes replicate each key's authority version
 	// stream (nodes 0..Replicas-1, the replica set of every key). With
@@ -86,9 +84,9 @@ type Config struct {
 	// bounded reserve ahead of) quorum acknowledgement, so losing the
 	// authority's disk cannot regress the stream: fail-over floors the new
 	// authority's versions above everything any quorum ever accepted. Zero
-	// or one means no replication — byte-identical on the wire to the
-	// pre-replica protocol. Like Nodes and Seed, every process of a
-	// cluster must use the same Replicas.
+	// or one means no replication: no replica frame is ever sent. Like
+	// Nodes and Seed, every process of a cluster must use the same
+	// Replicas.
 	Replicas int
 	// PermanentAfter is the permanent-failure horizon for replica-set
 	// members: when the leaseholder has heard nothing from a member for

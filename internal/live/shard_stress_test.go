@@ -149,16 +149,18 @@ func TestStressShardedLanesTCP(t *testing.T) {
 
 	// Churn driver: fail and recover random non-root nodes so the tree
 	// repairs (re-homing, re-announced virtual paths, authority refresh)
-	// while every lane keeps flushing into the shared sockets.
+	// while every lane keeps flushing into the shared sockets. Every exit
+	// recovers the nodes it downed, so the final audit sees a whole cluster.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		src := rng.New(42)
 		down := map[int]bool{}
+	churn:
 		for i := 0; i < 16; i++ {
 			select {
 			case <-stop:
-				return
+				break churn
 			default:
 			}
 			victim := 1 + src.Intn(cfg.Nodes-1)

@@ -77,24 +77,25 @@ const (
 	KindBatch
 	// KindPrepare opens a replica leadership round (dup/internal/replica):
 	// a candidate authority asks every member of the replica set to promise
-	// the term in Old and to report its accepted log. Expiry proposes the
-	// candidate's lease deadline. Replica kinds are not in the reliable
+	// Term and to report its accepted log. Expiry proposes the candidate's
+	// lease deadline. Every replica frame carries the sender's term in Term
+	// and its config epoch in Epoch. Replica kinds are not in the reliable
 	// class — the replica layer retransmits on its own tick until quorum.
 	KindPrepare
 	// KindPromise answers the replica protocol's round-trips. Subject
 	// discriminates: 0 = prepare promise (Path carries key,version pairs of
 	// the sender's accepted log), 1 = accept ack (Key, Seq = the sender's
 	// accepted version for that key), 2 = lease ack (Seq echoes the
-	// renewal counter). Old always carries the term being answered.
+	// renewal counter). Term always carries the term being answered.
 	KindPromise
 	// KindAccept replicates one ordered log entry: the leaseholder asks a
-	// replica to durably accept (Key, Version, Expiry) under term Old.
+	// replica to durably accept (Key, Version, Expiry) under Term.
 	KindAccept
 	// KindCommit tells a replica that a quorum has accepted (Key, Version)
-	// under term Old, advancing its committed watermark. Advisory: safety
+	// under Term, advancing its committed watermark. Advisory: safety
 	// rests on the accepted log, commit only bounds failover work.
 	KindCommit
-	// KindLease renews the leaseholder's time-based lease: under term Old,
+	// KindLease renews the leaseholder's time-based lease: under Term,
 	// renewal counter Seq, proposed deadline Expiry. A quorum of lease acks
 	// lets the leader keep serving reads and pushes locally.
 	KindLease
@@ -110,9 +111,10 @@ const (
 	// (dup/internal/replica). Subject discriminates: 0 = joint config
 	// proposal (Path carries old members then new members, New = the old
 	// set's length), 1 = final config (Path carries the new members),
-	// 2 = config ack (Seq echoes the acked epoch), 3 = config request
-	// from a member that saw a newer epoch stamped on a frame. Old always
-	// carries the proposing leaseholder's term, Seq the config epoch.
+	// 2 = config ack (Epoch is the adopted epoch, Version echoes the
+	// answered proposal's term), 3 = config request from a member that saw
+	// a newer epoch stamped on a frame. Term carries the sender's term and
+	// Epoch the config epoch the frame names.
 	KindReconfig
 	// KindStateXfer is the snapshot-style state transfer that brings a
 	// replacement member's accepted log up to date before it gains a
@@ -120,8 +122,8 @@ const (
 	// member set, Version the sender's failover floor, New the chunk
 	// count), 1 = a chunk of the accepted log (Path carries key,version
 	// pairs, Version the chunk index), 2 = the replacement's completion
-	// ack. Old carries the sending leaseholder's term, Seq the config
-	// epoch.
+	// ack. Term carries the sender's term and Epoch the config epoch the
+	// transfer belongs to.
 	KindStateXfer
 )
 
@@ -181,6 +183,8 @@ type Message struct {
 	Version int64      // index version carried by replies and pushes
 	Expiry  float64    // absolute expiry of that version
 	Hops    int        // hops travelled by the request (latency accounting)
+	Epoch   int64      // replica frames: the sender's config epoch
+	Term    int64      // replica frames: the sender's (or proposer's) term
 	Path    []int      // request: visited nodes; reply: remaining reverse path
 	Batch   []*Message // KindBatch only: the coalesced member messages
 	Piggy   *Piggyback
@@ -310,21 +314,21 @@ func (m *Message) String() string {
 	case KindBatch:
 		return fmt.Sprintf("batch{to:%d from:%d seq:%d n:%d}", m.To, m.Origin, m.Seq, len(m.Batch))
 	case KindPrepare:
-		return fmt.Sprintf("prepare{to:%d from:%d term:%d}", m.To, m.Origin, m.Old)
+		return fmt.Sprintf("prepare{to:%d from:%d term:%d}", m.To, m.Origin, m.Term)
 	case KindPromise:
-		return fmt.Sprintf("promise{to:%d from:%d term:%d sub:%d}", m.To, m.Origin, m.Old, m.Subject)
+		return fmt.Sprintf("promise{to:%d from:%d term:%d sub:%d}", m.To, m.Origin, m.Term, m.Subject)
 	case KindAccept:
-		return fmt.Sprintf("accept{to:%d key:%d term:%d v:%d}", m.To, m.Key, m.Old, m.Version)
+		return fmt.Sprintf("accept{to:%d key:%d term:%d v:%d}", m.To, m.Key, m.Term, m.Version)
 	case KindCommit:
-		return fmt.Sprintf("commit{to:%d key:%d term:%d v:%d}", m.To, m.Key, m.Old, m.Version)
+		return fmt.Sprintf("commit{to:%d key:%d term:%d v:%d}", m.To, m.Key, m.Term, m.Version)
 	case KindLease:
-		return fmt.Sprintf("lease{to:%d from:%d term:%d seq:%d}", m.To, m.Origin, m.Old, m.Seq)
+		return fmt.Sprintf("lease{to:%d from:%d term:%d seq:%d}", m.To, m.Origin, m.Term, m.Seq)
 	case KindRootAnnounce:
 		return fmt.Sprintf("root-announce{to:%d from:%d root:%d seq:%d}", m.To, m.Origin, m.Subject, m.Seq)
 	case KindReconfig:
-		return fmt.Sprintf("reconfig{to:%d from:%d term:%d epoch:%d sub:%d}", m.To, m.Origin, m.Old, m.Seq, m.Subject)
+		return fmt.Sprintf("reconfig{to:%d from:%d term:%d epoch:%d sub:%d}", m.To, m.Origin, m.Term, m.Epoch, m.Subject)
 	case KindStateXfer:
-		return fmt.Sprintf("state-xfer{to:%d from:%d term:%d epoch:%d sub:%d}", m.To, m.Origin, m.Old, m.Seq, m.Subject)
+		return fmt.Sprintf("state-xfer{to:%d from:%d term:%d epoch:%d sub:%d}", m.To, m.Origin, m.Term, m.Epoch, m.Subject)
 	default:
 		return fmt.Sprintf("%s{to:%d}", m.Kind, m.To)
 	}

@@ -48,10 +48,10 @@
 // both sets, so no decision can be made that a majority of either set
 // would not intersect. Once a joint quorum has durably adopted it, the
 // final config commits the same way under the new set alone. Every
-// config carries an epoch, stamped on all replica frames (the otherwise
-// unused Hops varint, so pre-existing encodings stay byte-identical);
-// an epoch mismatch rejects the frame and triggers a config catch-up
-// exchange instead of letting stale-config members vote.
+// config carries an epoch, stamped with the sender's term on all replica
+// frames (proto.Message's Epoch and Term fields); an epoch mismatch
+// rejects the frame and triggers a config catch-up exchange instead of
+// letting stale-config members vote.
 package replica
 
 import (
@@ -129,8 +129,8 @@ const maxPromisePairs = 1024
 const (
 	subConfJoint = 0 // joint config: Path = old members then new, New = len(old)
 	subConfFinal = 1 // final config: Path = the new members
-	subConfAck   = 2 // member adopted the config at epoch Seq; Version echoes the proposal's term
-	subConfNeed  = 3 // sender saw a newer epoch than Seq; answer with the config
+	subConfAck   = 2 // member adopted the config at Epoch; Version echoes the proposal's term
+	subConfNeed  = 3 // sender (at Epoch) saw a newer epoch; answer with the config
 )
 
 // xferSubject discriminates the KindStateXfer payloads.
@@ -481,8 +481,8 @@ func (g *Group) preparesLocked() []*proto.Message {
 		m.Kind = proto.KindPrepare
 		m.To = p
 		m.Origin = g.cfg.ID
-		m.Old = int(g.term)
-		m.Hops = int(g.conf.epoch)
+		m.Term = g.term
+		m.Epoch = g.conf.epoch
 		m.Expiry = g.prepExp
 		msgs = append(msgs, m)
 	}
@@ -716,8 +716,8 @@ func (g *Group) acceptsLocked(key int) []*proto.Message {
 		m.Kind = proto.KindAccept
 		m.To = p
 		m.Origin = g.cfg.ID
-		m.Old = int(e.term)
-		m.Hops = int(g.conf.epoch)
+		m.Term = e.term
+		m.Epoch = g.conf.epoch
 		m.Key = key
 		m.Version = e.version
 		m.Expiry = e.expiry
@@ -763,7 +763,7 @@ func (g *Group) setAcceptedLocked(set []int, key int) int64 {
 func (g *Group) Step(m *proto.Message, now time.Time) []*proto.Message {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	term := int64(m.Old)
+	term := m.Term
 	if g.role == leader {
 		g.lastAck[m.Origin] = now // any frame is a sign of life
 	}
@@ -777,7 +777,7 @@ func (g *Group) Step(m *proto.Message, now time.Time) []*proto.Message {
 	// When the sender is ahead we ask it for the config it holds; when it
 	// is behind we teach it ours. Either way the dropped frame's round
 	// recovers by retransmission once the epochs agree.
-	if epoch := int64(m.Hops); epoch != g.conf.epoch {
+	if epoch := m.Epoch; epoch != g.conf.epoch {
 		if epoch > g.conf.epoch {
 			return []*proto.Message{g.confNeedLocked(m.Origin)}
 		}
@@ -881,8 +881,8 @@ func (g *Group) relayGrantLocked(to int, now time.Time) []*proto.Message {
 	m.Kind = proto.KindLease
 	m.To = to
 	m.Origin = g.grantHolder
-	m.Old = int(g.term)
-	m.Hops = int(g.conf.epoch)
+	m.Term = g.term
+	m.Epoch = g.conf.epoch
 	m.Seq = 0
 	m.Expiry = timeToUnix(g.grantUntil)
 	return []*proto.Message{m}
@@ -893,8 +893,8 @@ func (g *Group) newPromiseLocked(to, subject int) *proto.Message {
 	pm.Kind = proto.KindPromise
 	pm.To = to
 	pm.Origin = g.cfg.ID
-	pm.Old = int(g.term)
-	pm.Hops = int(g.conf.epoch)
+	pm.Term = g.term
+	pm.Epoch = g.conf.epoch
 	pm.Subject = subject
 	return pm
 }
@@ -1034,8 +1034,8 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 				m.Kind = proto.KindLease
 				m.To = p
 				m.Origin = g.cfg.ID
-				m.Old = int(g.term)
-				m.Hops = int(g.conf.epoch)
+				m.Term = g.term
+				m.Epoch = g.conf.epoch
 				m.Seq = g.leaseSeq
 				m.Expiry = timeToUnix(now.Add(g.lease))
 				msgs = append(msgs, m)
@@ -1085,8 +1085,8 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 					m.Kind = proto.KindCommit
 					m.To = p
 					m.Origin = g.cfg.ID
-					m.Old = int(e.term)
-					m.Hops = int(g.conf.epoch)
+					m.Term = e.term
+					m.Epoch = g.conf.epoch
 					m.Key = k
 					m.Version = qa
 					msgs = append(msgs, m)
@@ -1187,10 +1187,9 @@ func (g *Group) newXferLocked(to, subject int) *proto.Message {
 	m.Kind = proto.KindStateXfer
 	m.To = to
 	m.Origin = g.cfg.ID
-	m.Old = int(g.term)
+	m.Term = g.term
 	m.Subject = subject
-	m.Seq = g.conf.epoch
-	m.Hops = int(g.conf.epoch)
+	m.Epoch = g.conf.epoch
 	return m
 }
 
@@ -1205,24 +1204,24 @@ func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*pro
 		// partitioned ex-leader: refuse it, so a stale sender can never
 		// plant a member set (or raise the floor) on a recruit that has
 		// already heard from the real leadership.
-		if term < g.term || m.Seq < g.conf.epoch || len(m.Path) == 0 {
+		if term < g.term || m.Epoch < g.conf.epoch || len(m.Path) == 0 {
 			return nil
 		}
 		g.observeTermLocked(term)
-		if m.Seq > g.conf.epoch {
+		if m.Epoch > g.conf.epoch {
 			// A node drafted into a cluster whose config moved past its
 			// boot-time member list adopts the sender's stable set first.
-			g.installConfLocked(confState{epoch: m.Seq, term: term, cur: append([]int(nil), m.Path...)}, true)
+			g.installConfLocked(confState{epoch: m.Epoch, term: term, cur: append([]int(nil), m.Path...)}, true)
 		}
 		if m.Version > g.floorDef {
 			g.floorDef = m.Version
 		}
-		if g.xferEpoch != m.Seq || g.xferChunks != m.New || g.xferGot == nil {
-			g.xferEpoch, g.xferChunks, g.xferGot = m.Seq, m.New, make(map[int]bool)
+		if g.xferEpoch != m.Epoch || g.xferChunks != m.New || g.xferGot == nil {
+			g.xferEpoch, g.xferChunks, g.xferGot = m.Epoch, m.New, make(map[int]bool)
 		}
 		return g.maybeXferAckLocked(m.Origin)
 	case subXferChunk:
-		if term < g.term || g.xferGot == nil || m.Seq != g.xferEpoch || m.Seq < g.conf.epoch {
+		if term < g.term || g.xferGot == nil || m.Epoch != g.xferEpoch || m.Epoch < g.conf.epoch {
 			return nil
 		}
 		g.observeTermLocked(term)
@@ -1242,7 +1241,7 @@ func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*pro
 	case subXferAck:
 		g.observeTermLocked(term)
 		if g.role != leader || g.rc == nil || g.rc.phase != rcXfer ||
-			m.Origin != g.rc.add || m.Seq != g.conf.epoch {
+			m.Origin != g.rc.add || m.Epoch != g.conf.epoch {
 			return nil
 		}
 		// The replacement holds the snapshot: open the joint phase. The
@@ -1270,7 +1269,7 @@ func (g *Group) maybeXferAckLocked(to int) []*proto.Message {
 		return nil
 	}
 	m := g.newXferLocked(to, subXferAck)
-	m.Seq = g.xferEpoch
+	m.Epoch = g.xferEpoch
 	return []*proto.Message{m}
 }
 
@@ -1298,7 +1297,7 @@ func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []
 			// Stale proposer (a deposed leader's retransmission): teach it.
 			return []*proto.Message{g.confRecordLocked(m.Origin)}
 		}
-		epoch := m.Seq
+		epoch := m.Epoch
 		if epoch < g.conf.epoch {
 			// Old-epoch proposer (an old leader's retransmission): teach it.
 			return []*proto.Message{g.confRecordLocked(m.Origin)}
@@ -1345,14 +1344,14 @@ func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []
 		return []*proto.Message{g.confAckLocked(m.Origin, term)}
 	case subConfAck:
 		g.observeTermLocked(term)
-		if g.role != leader || g.rc == nil || m.Seq != g.conf.epoch || m.Version != g.term {
+		if g.role != leader || g.rc == nil || m.Epoch != g.conf.epoch || m.Version != g.term {
 			return nil
 		}
 		g.rc.acks[m.Origin] = true
 		return g.advanceReconfigLocked(now)
 	case subConfNeed:
 		g.observeTermLocked(term)
-		if m.Seq < g.conf.epoch {
+		if m.Epoch < g.conf.epoch {
 			return []*proto.Message{g.confRecordLocked(m.Origin)}
 		}
 	}
@@ -1397,9 +1396,8 @@ func (g *Group) confRecordLocked(to int) *proto.Message {
 	m.Kind = proto.KindReconfig
 	m.To = to
 	m.Origin = g.cfg.ID
-	m.Old = int(g.term)
-	m.Seq = g.conf.epoch
-	m.Hops = int(g.conf.epoch)
+	m.Term = g.term
+	m.Epoch = g.conf.epoch
 	if g.conf.joint() {
 		m.Subject = subConfJoint
 		m.New = len(g.conf.old)
@@ -1419,10 +1417,9 @@ func (g *Group) confNeedLocked(to int) *proto.Message {
 	m.Kind = proto.KindReconfig
 	m.To = to
 	m.Origin = g.cfg.ID
-	m.Old = int(g.term)
+	m.Term = g.term
 	m.Subject = subConfNeed
-	m.Seq = g.conf.epoch
-	m.Hops = int(g.conf.epoch)
+	m.Epoch = g.conf.epoch
 	return m
 }
 
@@ -1436,11 +1433,10 @@ func (g *Group) confAckLocked(to int, echoTerm int64) *proto.Message {
 	m.Kind = proto.KindReconfig
 	m.To = to
 	m.Origin = g.cfg.ID
-	m.Old = int(g.term)
+	m.Term = g.term
 	m.Subject = subConfAck
-	m.Seq = g.conf.epoch
 	m.Version = echoTerm
-	m.Hops = int(g.conf.epoch)
+	m.Epoch = g.conf.epoch
 	return m
 }
 

@@ -685,11 +685,10 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	forged.Kind = proto.KindReconfig
 	forged.To = 0
 	forged.Origin = 1
-	forged.Old = 1
+	forged.Term = 1
+	forged.Epoch = 1
 	forged.Subject = subConfAck
-	forged.Seq = 1
 	forged.Version = 99 // echoes a proposal this leader never made
-	forged.Hops = 1
 	drop(g0.Step(forged, now))
 	proto.Release(forged)
 	if !g0.ReconfigInFlight() || g0.Epoch() != 1 {
@@ -764,10 +763,9 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	conflict.Kind = proto.KindReconfig
 	conflict.To = 2
 	conflict.Origin = 0
-	conflict.Old = 2 // same term as the adopted config
+	conflict.Term = 2 // same term as the adopted config
+	conflict.Epoch = 2
 	conflict.Subject = subConfFinal
-	conflict.Seq = 2
-	conflict.Hops = 2
 	conflict.Path = append(conflict.Path, 0, 1, 3)
 	if out := g2.Step(conflict, at); len(out) != 0 {
 		drop(out)
@@ -792,11 +790,10 @@ func TestMalformedConfigProposalsRefused(t *testing.T) {
 		m.Kind = proto.KindReconfig
 		m.To = 1
 		m.Origin = 0
-		m.Old = 1
+		m.Term = 1
+		m.Epoch = 1
 		m.Subject = subject
-		m.Seq = 1
 		m.New = split
-		m.Hops = 0
 		m.Path = append(m.Path, path...)
 		return m
 	}
@@ -845,22 +842,20 @@ func TestStaleTermStateTransferRefused(t *testing.T) {
 	prep.Kind = proto.KindPrepare
 	prep.To = 1
 	prep.Origin = 9
-	prep.Old = 5
-	prep.Hops = 0
+	prep.Term = 5
 	drop(g1.Step(prep, now))
 	proto.Release(prep)
 	if g1.Term() != 5 {
 		t.Fatalf("term = %d, want 5", g1.Term())
 	}
-	mkBegin := func(term int) *proto.Message {
+	mkBegin := func(term int64) *proto.Message {
 		m := proto.NewMessage()
 		m.Kind = proto.KindStateXfer
 		m.To = 1
 		m.Origin = 9
-		m.Old = term
+		m.Term = term
+		m.Epoch = 7
 		m.Subject = subXferBegin
-		m.Seq = 7
-		m.Hops = 7
 		m.Version = 50
 		m.Path = append(m.Path, 8, 9)
 		return m

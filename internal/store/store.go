@@ -15,11 +15,12 @@
 // (term, version, expiry) per keyed tree. Recovery replays the snapshot
 // and then the log, keeping the last record per node (per record type); a
 // torn tail (a record cut short by the crash) is truncated, never
-// propagated. When the
-// log outgrows CompactAt the store writes a fresh snapshot (tmp + fsync +
-// rename, so a crash mid-compaction leaves the old one intact) and resets
-// the log. Root version bumps fsync before Record returns — the authority
-// never acknowledges a version it could forget.
+// propagated, while a whole record that does not decode fails recovery
+// with ErrCorrupt and leaves the files alone. When the log outgrows
+// CompactAt the store writes a fresh snapshot (tmp + fsync + rename, so a
+// crash mid-compaction leaves the old one intact) and resets the log.
+// Root version bumps fsync before Record returns — the authority never
+// acknowledges a version it could forget.
 package store
 
 import (
@@ -50,16 +51,22 @@ const (
 	DefaultCompactAt = 1 << 18
 )
 
-// ErrCorrupt marks a snapshot that fails its CRC or decode. Snapshots are
-// written atomically, so unlike a torn log tail this indicates real
-// damage and is surfaced rather than repaired silently.
-var ErrCorrupt = errors.New("store: corrupt snapshot")
+// ErrCorrupt marks state recovery refuses: a snapshot that fails its CRC
+// or decode, or a journal record whose CRC holds but whose payload does
+// not decode (say, one written by a build with another wire format).
+// Snapshots are written atomically and a checksummed record was written
+// whole, so unlike a torn log tail these indicate real damage and are
+// surfaced rather than repaired silently; the files are left as found.
+var ErrCorrupt = errors.New("store: corrupt snapshot or journal")
+
+// errTorn marks a record cut short or garbled mid-write, the signature of
+// a crash mid-append, which the log repairs by truncation.
+var errTorn = errors.New("torn record")
 
 // NodeState is the durable protocol state of one node for one keyed
 // index tree: everything needed to resume its role after a crash. A node
 // participating in several keys records one NodeState per key; Key 0 is
-// the base index (its records encode byte-identically to the
-// pre-multi-key format). Expiry is the wire representation (absolute unix
+// the base index. Expiry is the wire representation (absolute unix
 // seconds as float64); the live layer converts.
 type NodeState struct {
 	ID          int
@@ -147,9 +154,9 @@ type Store struct {
 }
 
 // Open opens (or creates) the store in dir, replaying any snapshot and
-// log found there. A torn record at the log tail — the normal signature
-// of a crash mid-append — is truncated away; corruption anywhere else is
-// an error.
+// log found there. A torn or checksum-failing log record — the normal
+// signature of a crash mid-append — is truncated away with everything
+// after it; a checksummed record that does not decode is ErrCorrupt.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -477,9 +484,8 @@ func (s *Store) loadSnapshot() error {
 	if err != nil {
 		return err
 	}
-	_, err = replay(p, s.nodes, s.reps, s.confs)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if _, err := replay(p, s.nodes, s.reps, s.confs); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, snapName, err)
 	}
 	return nil
 }
@@ -494,11 +500,12 @@ func (s *Store) loadWAL() error {
 		return err
 	}
 	good, err := replay(p, s.nodes, s.reps, s.confs)
-	if err != nil {
+	if errors.Is(err, errTorn) {
 		// Torn tail from a crash mid-append: keep the good prefix.
-		if terr := os.Truncate(path, int64(good)); terr != nil {
-			return terr
-		}
+		return os.Truncate(path, int64(good))
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, walName, err)
 	}
 	return nil
 }
@@ -511,19 +518,19 @@ func replay(p []byte, nodes map[nodeKey]NodeState, reps map[nodeKey]ReplicaState
 	off := 0
 	for off < len(p) {
 		if len(p)-off < recHeader {
-			return off, fmt.Errorf("torn record header at %d", off)
+			return off, fmt.Errorf("%w: short header at %d", errTorn, off)
 		}
 		n := int(binary.BigEndian.Uint32(p[off:]))
 		sum := binary.BigEndian.Uint32(p[off+4:])
 		if n <= 0 || n > wire.MaxFrame || len(p)-off-recHeader < n {
-			return off, fmt.Errorf("torn record body at %d", off)
+			return off, fmt.Errorf("%w: short body at %d", errTorn, off)
 		}
 		payload := p[off+recHeader : off+recHeader+n]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return off, fmt.Errorf("crc mismatch at %d", off)
+			return off, fmt.Errorf("%w: crc mismatch at %d", errTorn, off)
 		}
 		if err := applyRecord(payload, nodes, reps, confs); err != nil {
-			return off, err
+			return off, fmt.Errorf("record at %d: %w", off, err)
 		}
 		off += recHeader + n
 	}
@@ -556,7 +563,7 @@ func applyRecord(payload []byte, nodes map[nodeKey]NodeState, reps map[nodeKey]R
 		rs := ReplicaState{
 			ID:      m.Origin,
 			Key:     m.Key,
-			Term:    m.Seq,
+			Term:    m.Term,
 			Version: m.Version,
 			Expiry:  m.Expiry,
 		}
@@ -567,8 +574,8 @@ func applyRecord(payload []byte, nodes map[nodeKey]NodeState, reps map[nodeKey]R
 		}
 		rc := ReplicaConfig{
 			ID:    m.Origin,
-			Epoch: m.Seq,
-			Term:  m.Version,
+			Epoch: m.Epoch,
+			Term:  m.Term,
 			Joint: m.Subject == 0,
 		}
 		if m.New > 0 {
@@ -613,15 +620,15 @@ func appendRecord(dst []byte, ns *NodeState) []byte {
 
 // appendReplicaConfigRecord appends the CRC-framed encoding of rc: the
 // wire encoding of a KindReconfig message with the node id in Origin,
-// the epoch in Seq, the adoption term in Version (the full-width int64
-// field), the joint flag in Subject (0 joint, 1 final) and the
-// membership in Path as old-set ++ new-set with the split point in New.
+// the epoch in Epoch, the adoption term in Term, the joint flag in
+// Subject (0 joint, 1 final) and the membership in Path as old-set ++
+// new-set with the split point in New.
 func appendReplicaConfigRecord(dst []byte, rc *ReplicaConfig) []byte {
 	m := proto.NewMessage()
 	m.Kind = proto.KindReconfig
 	m.Origin = rc.ID
-	m.Seq = rc.Epoch
-	m.Version = rc.Term
+	m.Epoch = rc.Epoch
+	m.Term = rc.Term
 	if !rc.Joint {
 		m.Subject = 1
 	}
@@ -640,15 +647,13 @@ func appendReplicaConfigRecord(dst []byte, rc *ReplicaConfig) []byte {
 
 // appendReplicaRecord appends the CRC-framed encoding of rs: the wire
 // encoding of a KindAccept message with the node id in Origin and the
-// term in Seq (the full-width int64 field; the live protocol's Accept
-// frames carry the term in Old instead, but a store record never crosses
-// the wire, so the two layouts cannot be confused).
+// term in Term, the same layout as the live protocol's Accept frames.
 func appendReplicaRecord(dst []byte, rs *ReplicaState) []byte {
 	m := proto.NewMessage()
 	m.Kind = proto.KindAccept
 	m.Key = rs.Key
 	m.Origin = rs.ID
-	m.Seq = rs.Term
+	m.Term = rs.Term
 	m.Version = rs.Version
 	m.Expiry = rs.Expiry
 	start := len(dst)

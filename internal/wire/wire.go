@@ -3,21 +3,19 @@
 //
 //	| u32 payload length (big endian) | payload |
 //
-// and the payload is
+// and every non-batch payload has one layout:
 //
-//	| u8 version | u8 kind | u8 flags | varint fields ... |
+//	| 7 | kind | flags | To | Origin | Subject | Old | New | Seq | Version | Hops | Key | Expiry | path | [piggy] | [Epoch Term] |
 //
 // with every integer field as a signed varint (zigzag, so the protocol's
 // -1 sentinels stay one byte), the expiry as 8 IEEE-754 big-endian bytes,
-// the path as a count-prefixed varint list, and an optional piggyback
-// behind a flag bit. Version-3 payloads insert a non-zero Key varint
-// (multi-key data plane) between Hops and Expiry; version-4 payloads (the
-// replica quorum kinds) always carry the Key varint; KindBatch envelopes
-// use their own compact layout carrying a count-prefixed list of
-// length-delimited member payloads. Encoding appends to a caller buffer;
-// decoding fills a pooled proto.Message whose Path backing array is
-// reused, so a busy connection round-trips messages without per-message
-// allocation.
+// the path as a count-prefixed varint list, and two optional trailers,
+// each behind its own flag bit: a piggyback record, and the replica
+// protocol's Epoch and Term. KindBatch envelopes use their own compact
+// layout carrying a count-prefixed list of length-delimited member
+// payloads. Encoding appends to a caller buffer; decoding fills a pooled
+// proto.Message whose Path backing array is reused, so a busy connection
+// round-trips messages without per-message allocation.
 //
 // Decoding is strict: unknown versions, unknown kinds, unknown flag bits,
 // truncated fields, oversized paths or batches, nested envelopes and
@@ -36,43 +34,9 @@ import (
 )
 
 const (
-	// Version is the current payload format version; it is the first byte
-	// of every payload so the format can evolve behind one check. Version 2
-	// added the membership kinds (join, leave, state) with the field layout
-	// unchanged; version 3 adds the Key field (stamped only when Key != 0,
-	// so single-key traffic stays byte-identical to version 2) and the
-	// KindBatch envelope; version 4 adds the replica quorum kinds (prepare,
-	// promise, accept, commit, lease), which always carry the Key varint
-	// (even when zero) and exist in no older vocabulary; version 5 adds
-	// the soft-state tree beacon (root-announce), likewise always carrying
-	// the Key varint; version 6 adds the quorum reconfiguration kinds
-	// (reconfig, state-xfer) with the same always-keyed layout. Each kind
-	// stamps its minimal version, so a cluster that does not use
-	// replication or root announces emits byte-identical frames to a
-	// version-3 binary.
-	Version = 6
-
-	// v1Kinds is the kind-vocabulary size of version-1 payloads. Kinds
-	// below it encode as version 1 (so upgraded peers interoperate with
-	// version-1 binaries for the original vocabulary); the membership kinds
-	// at and above it require version 2.
-	v1Kinds = 11
-
-	// v3Kinds is the kind-vocabulary size of version-3 payloads; the
-	// replica kinds at and above it require version 4.
-	v3Kinds = 15
-
-	// v4Kinds is the kind-vocabulary size of version-4 payloads; the
-	// soft-state tree kinds at and above it require version 5.
-	v4Kinds = 20
-
-	// v5Kinds is the kind-vocabulary size of version-5 payloads; the
-	// quorum reconfiguration kinds at and above it require version 6.
-	v5Kinds = 21
-
-	// keyVersion is the payload version that introduced the optional Key
-	// field: any pre-replica kind may be raised to it when Key != 0.
-	keyVersion = 3
+	// Version is the payload format version; it is the first byte of every
+	// payload, and the decoder accepts no other.
+	Version = 7
 
 	// MaxFrame bounds the payload length a reader accepts (and a writer
 	// produces). Protocol messages are tens of bytes; the megabyte bound
@@ -93,8 +57,12 @@ const (
 
 	// flagPiggy marks a trailing piggyback record.
 	flagPiggy = 1 << 0
+	// flagEpochTerm marks the trailing Epoch and Term varints. It is set
+	// only when at least one of them is non-zero, so data-plane frames
+	// never carry them.
+	flagEpochTerm = 1 << 1
 	// knownFlags masks the flag bits this version defines.
-	knownFlags = flagPiggy
+	knownFlags = flagPiggy | flagEpochTerm
 )
 
 // Decode errors. Errors wrap these sentinels, so callers can classify with
@@ -126,52 +94,20 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// minVersion returns the minimal payload version whose vocabulary includes
-// the kind. Stamping the minimum (not the current Version) keeps the
-// encoding canonical — one byte sequence per message — and lets older
-// vocabularies stay readable by older decoders.
-func minVersion(k proto.Kind) byte {
-	switch {
-	case int(k) >= v5Kinds:
-		return 6
-	case int(k) >= v4Kinds:
-		return 5
-	case int(k) >= v3Kinds:
-		return 4
-	case k == proto.KindBatch:
-		return 3
-	case int(k) >= v1Kinds:
-		return 2
-	}
-	return 1
-}
-
-// payloadVersion returns the version byte the message encodes under: the
-// kind's minimal version, raised to 3 when a pre-replica kind carries a
-// non-zero Key (the Key field only exists from version 3 on). Key-0
-// messages of the old vocabulary therefore stay byte-identical to their
-// version-1/2 encodings, the replica kinds always stamp 4, and the
-// soft-state tree kinds always stamp 5.
-func payloadVersion(m *proto.Message) byte {
-	mv := minVersion(m.Kind)
-	if mv < keyVersion && m.Key != 0 {
-		return keyVersion
-	}
-	return mv
-}
-
 // AppendMessage appends m's payload encoding (no length prefix) to dst and
 // returns the extended slice.
 func AppendMessage(dst []byte, m *proto.Message) []byte {
 	if m.Kind == proto.KindBatch {
 		return appendBatch(dst, m)
 	}
-	v := payloadVersion(m)
 	flags := byte(0)
 	if m.Piggy != nil {
 		flags |= flagPiggy
 	}
-	dst = append(dst, v, byte(m.Kind), flags)
+	if m.Epoch != 0 || m.Term != 0 {
+		flags |= flagEpochTerm
+	}
+	dst = append(dst, Version, byte(m.Kind), flags)
 	dst = binary.AppendVarint(dst, int64(m.To))
 	dst = binary.AppendVarint(dst, int64(m.Origin))
 	dst = binary.AppendVarint(dst, int64(m.Subject))
@@ -180,9 +116,7 @@ func AppendMessage(dst []byte, m *proto.Message) []byte {
 	dst = binary.AppendVarint(dst, m.Seq)
 	dst = binary.AppendVarint(dst, m.Version)
 	dst = binary.AppendVarint(dst, int64(m.Hops))
-	if v >= 3 {
-		dst = binary.AppendVarint(dst, int64(m.Key))
-	}
+	dst = binary.AppendVarint(dst, int64(m.Key))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Expiry))
 	dst = binary.AppendVarint(dst, int64(len(m.Path)))
 	for _, p := range m.Path {
@@ -192,6 +126,10 @@ func AppendMessage(dst []byte, m *proto.Message) []byte {
 		dst = append(dst, byte(m.Piggy.Kind))
 		dst = binary.AppendVarint(dst, int64(m.Piggy.Subject))
 	}
+	if flags&flagEpochTerm != 0 {
+		dst = binary.AppendVarint(dst, m.Epoch)
+		dst = binary.AppendVarint(dst, m.Term)
+	}
 	return dst
 }
 
@@ -199,11 +137,11 @@ func AppendMessage(dst []byte, m *proto.Message) []byte {
 // identity (To, Origin, Seq) and its members travel, each member as a
 // length-delimited full payload encoding:
 //
-//	| 3 | KindBatch | 0 | To | Origin | Seq | count | { len | payload }* |
+//	| 7 | KindBatch | 0 | To | Origin | Seq | count | { len | payload }* |
 //
 // Keeping the envelope this narrow makes decode→re-encode byte-identical.
 func appendBatch(dst []byte, m *proto.Message) []byte {
-	dst = append(dst, byte(3), byte(proto.KindBatch), 0)
+	dst = append(dst, Version, byte(proto.KindBatch), 0)
 	dst = binary.AppendVarint(dst, int64(m.To))
 	dst = binary.AppendVarint(dst, int64(m.Origin))
 	dst = binary.AppendVarint(dst, m.Seq)
@@ -292,30 +230,14 @@ func DecodeMessage(p []byte) (*proto.Message, error) {
 // nest).
 func decodeMessage(p []byte, depth int) (*proto.Message, error) {
 	d := decoder{p: p}
-	v := d.byte()
-	if d.err == nil && (v == 0 || v > Version) {
-		return nil, fmt.Errorf("%w: got %d, want 1..%d", ErrVersion, v, Version)
+	if v := d.byte(); d.err == nil && v != Version {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
 	}
 	kind := d.byte()
 	if d.err == nil && int(kind) >= proto.NumKinds {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
 	}
 	k := proto.Kind(kind)
-	// A pre-replica kind has exactly two valid version bytes: its minimal
-	// version (Key == 0) and version 3 (non-zero Key); a replica or
-	// soft-state tree kind has exactly one (its minimal version, Key always
-	// present). That keeps the encoding
-	// canonical under fuzzing, and no kind can masquerade under a foreign
-	// vocabulary. A version-3 non-batch payload whose Key decodes to zero
-	// is rejected below for the same reason.
-	if d.err == nil && v != minVersion(k) && !(v == keyVersion && minVersion(k) < keyVersion) {
-		if minVersion(k) >= keyVersion {
-			return nil, fmt.Errorf("%w: kind %s requires version %d, got %d",
-				ErrVersion, k, minVersion(k), v)
-		}
-		return nil, fmt.Errorf("%w: kind %s requires version %d or %d, got %d",
-			ErrVersion, k, minVersion(k), keyVersion, v)
-	}
 	if k == proto.KindBatch && depth > 0 {
 		return nil, fmt.Errorf("%w: nested batch envelope", ErrUnknownKind)
 	}
@@ -342,15 +264,7 @@ func decodeMessage(p []byte, depth int) (*proto.Message, error) {
 	m.Seq = d.varint()
 	m.Version = d.varint()
 	m.Hops = int(d.varint())
-	if v >= 3 {
-		m.Key = int(d.varint())
-		// Version 3 is only ever stamped to carry a non-zero Key; version 4
-		// payloads always include the field, so zero is canonical there.
-		if d.err == nil && v == keyVersion && m.Key == 0 {
-			proto.Release(m)
-			return nil, fmt.Errorf("%w: version 3 with zero key", ErrNonCanonical)
-		}
-	}
+	m.Key = int(d.varint())
 	m.Expiry = d.float()
 	pathLen := d.varint()
 	if d.err == nil && (pathLen < 0 || pathLen > MaxPath) {
@@ -367,6 +281,16 @@ func decodeMessage(p []byte, depth int) (*proto.Message, error) {
 			return nil, fmt.Errorf("%w: piggy kind %d", ErrUnknownKind, pk)
 		}
 		m.SetPiggy(proto.Kind(pk), int(d.varint()))
+	}
+	if flags&flagEpochTerm != 0 {
+		m.Epoch = d.varint()
+		m.Term = d.varint()
+		// The flag is only ever set to carry a non-zero field; a second
+		// encoding of a zero pair would break canonical re-encoding.
+		if d.err == nil && m.Epoch == 0 && m.Term == 0 {
+			proto.Release(m)
+			return nil, fmt.Errorf("%w: epoch/term flag with zero fields", ErrNonCanonical)
+		}
 	}
 	if d.err != nil {
 		proto.Release(m)

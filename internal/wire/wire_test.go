@@ -38,28 +38,28 @@ func sampleMessages() []*proto.Message {
 		// A long path.
 		{Kind: proto.KindReply, To: 1, Version: 1 << 40, Expiry: -2.5,
 			Path: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
-		// Keyed (version-3) variants: the Key field only exists in v3
-		// payloads, for both version-1 and version-2 kind vocabularies.
+		// Keyed variants: the Key varint travels in every payload.
 		{Kind: proto.KindPush, To: 5, Origin: 2, Key: 8, Version: 6, Expiry: 90.5},
 		{Kind: proto.KindRequest, To: 3, Origin: 7, Key: 64, Seq: 8, Hops: 1, Path: []int{7}},
 		{Kind: proto.KindJoin, To: 2, Origin: 9, Key: 3, Seq: 6, Version: 4},
-		// Replica quorum kinds (version 4): the Key varint always travels,
-		// including the zero key of the default index tree.
-		{Kind: proto.KindPrepare, To: 1, Origin: 2, Old: 3, Expiry: 444.25},
-		{Kind: proto.KindPromise, To: 2, Origin: 1, Old: 3, Subject: 0, Path: []int{0, 7, 2, 9}},
-		{Kind: proto.KindPromise, To: 0, Origin: 1, Old: 3, Subject: 1, Key: 2, Seq: 12},
-		{Kind: proto.KindAccept, To: 1, Origin: 0, Old: 3, Key: 2, Version: 12, Expiry: 90.5},
-		{Kind: proto.KindAccept, To: 1, Origin: 0, Old: 3, Key: 0, Version: 13, Expiry: 91.5},
-		{Kind: proto.KindCommit, To: 1, Origin: 0, Old: 3, Key: 2, Version: 12},
-		{Kind: proto.KindLease, To: 1, Origin: 0, Old: 3, Seq: 5, Expiry: 445.25},
-		// Soft-state tree beacon (version 5): like the replica kinds the
-		// Key varint always travels, including the zero key.
+		// Replica kinds carry the Epoch/Term trailer: term alone, epoch
+		// alone (a config request below), both, and neither.
+		{Kind: proto.KindPrepare, To: 1, Origin: 2, Term: 3, Expiry: 444.25},
+		{Kind: proto.KindPromise, To: 2, Origin: 1, Term: 3, Subject: 0, Path: []int{0, 7, 2, 9}},
+		{Kind: proto.KindPromise, To: 0, Origin: 1, Term: 3, Epoch: 1, Subject: 1, Key: 2, Seq: 12},
+		{Kind: proto.KindAccept, To: 1, Origin: 0, Term: 3, Key: 2, Version: 12, Expiry: 90.5},
+		{Kind: proto.KindAccept, To: 1, Origin: 0, Term: 1 << 40, Epoch: 2, Version: 13, Expiry: 91.5},
+		{Kind: proto.KindCommit, To: 1, Origin: 0, Term: 3, Key: 2, Version: 12},
+		{Kind: proto.KindLease, To: 1, Origin: 0, Term: 3, Seq: 5, Expiry: 445.25},
+		{Kind: proto.KindLease, To: 1, Origin: 0, Expiry: 445.25},
+		// Soft-state tree beacon.
 		{Kind: proto.KindRootAnnounce, To: 4, Origin: 1, Subject: 0, Seq: 97},
 		{Kind: proto.KindRootAnnounce, To: 7, Origin: 4, Subject: 0, Key: 3, Seq: 98},
-		// Quorum reconfiguration kinds (version 6): always-keyed layout.
-		{Kind: proto.KindReconfig, To: 1, Origin: 0, Old: 3, Subject: 0, Seq: 2, New: 3, Path: []int{0, 1, 2, 0, 1, 3}},
-		{Kind: proto.KindReconfig, To: 0, Origin: 1, Old: 3, Subject: 2, Key: 1, Seq: 2},
-		{Kind: proto.KindStateXfer, To: 3, Origin: 0, Old: 3, Subject: 1, Seq: 1, New: 1, Path: []int{0, 12, 1, 7}, Expiry: 1025},
+		// Quorum reconfiguration kinds.
+		{Kind: proto.KindReconfig, To: 1, Origin: 0, Term: 3, Epoch: 2, Subject: 0, New: 3, Path: []int{0, 1, 2, 0, 1, 3}},
+		{Kind: proto.KindReconfig, To: 0, Origin: 1, Term: 3, Epoch: 2, Subject: 2, Key: 1, Version: 3},
+		{Kind: proto.KindReconfig, To: 0, Origin: 1, Epoch: 2, Subject: 3},
+		{Kind: proto.KindStateXfer, To: 3, Origin: 0, Term: 3, Epoch: 1, Subject: 1, New: 1, Path: []int{0, 12, 1, 7}, Expiry: 1025},
 		// A coalescing envelope with mixed-kind, mixed-key members.
 		{Kind: proto.KindBatch, To: 4, Origin: 1, Seq: 33, Batch: []*proto.Message{
 			{Kind: proto.KindPush, To: 4, Origin: 1, Key: 8, Version: 12, Expiry: 64.5},
@@ -78,7 +78,8 @@ func equalMessage(a, b *proto.Message) bool {
 		a.Subject != b.Subject || a.Old != b.Old || a.New != b.New ||
 		a.Key != b.Key || a.Seq != b.Seq || a.Version != b.Version ||
 		math.Float64bits(a.Expiry) != math.Float64bits(b.Expiry) ||
-		a.Hops != b.Hops || len(a.Path) != len(b.Path) ||
+		a.Hops != b.Hops || a.Epoch != b.Epoch || a.Term != b.Term ||
+		len(a.Path) != len(b.Path) ||
 		len(a.Batch) != len(b.Batch) {
 		return false
 	}
@@ -117,34 +118,6 @@ func TestRoundTripEveryKind(t *testing.T) {
 	}
 	if len(seen) != proto.NumKinds {
 		t.Fatalf("samples cover %d kinds, want %d", len(seen), proto.NumKinds)
-	}
-}
-
-// TestPayloadVersionStamping pins the version byte each message encodes
-// under: the original vocabulary stays at 1 (so version-1 binaries keep
-// decoding it), the membership kinds added in version 2 stamp 2, keyed
-// messages and batch envelopes stamp 3 — which is what keeps key-0
-// traffic byte-identical to the version-2 wire format — only the replica
-// quorum kinds stamp 4, and only the soft-state tree kinds stamp 5.
-func TestPayloadVersionStamping(t *testing.T) {
-	for _, m := range sampleMessages() {
-		p := AppendMessage(nil, m)
-		want := byte(1)
-		switch {
-		case int(m.Kind) >= v5Kinds:
-			want = 6
-		case int(m.Kind) >= v4Kinds:
-			want = 5
-		case int(m.Kind) >= v3Kinds:
-			want = 4
-		case m.Kind == proto.KindBatch || m.Key != 0:
-			want = 3
-		case m.Kind == proto.KindJoin || m.Kind == proto.KindLeave || m.Kind == proto.KindState:
-			want = 2
-		}
-		if p[0] != want {
-			t.Errorf("kind %s (key %d) stamped version %d, want %d", m.Kind, m.Key, p[0], want)
-		}
 	}
 }
 
@@ -224,45 +197,26 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"empty", nil, ErrTruncated},
 		{"bad version", append([]byte{99}, good[1:]...), ErrVersion},
 		{"zero version", append([]byte{0}, good[1:]...), ErrVersion},
+		{"version 6", append([]byte{6}, good[1:]...), ErrVersion},
 		{"unknown kind", append([]byte{good[0], 200}, good[2:]...), ErrUnknownKind},
 		{"unknown flags", append([]byte{good[0], good[1], 0x80}, good[3:]...), ErrBadFlags},
 		{"truncated fields", good[:4], ErrTruncated},
 		{"trailing bytes", append(append([]byte{}, good...), 0), ErrTrailing},
-		// Each kind is bound to its minimal version (plus version 3 when
-		// keyed); any other version byte is non-canonical and rejected.
-		{"v1 kind stamped v2", append([]byte{2}, good[1:]...), ErrVersion},
-		{"v2 kind stamped v1",
-			func() []byte {
-				p := AppendMessage(nil, &proto.Message{Kind: proto.KindJoin, To: 1, Origin: 2})
-				p[0] = 1
-				return p
-			}(), ErrVersion},
-		{"v1 kind stamped v4", append([]byte{4}, good[1:]...), ErrVersion},
-		{"replica kind stamped v3",
-			func() []byte {
-				p := AppendMessage(nil, &proto.Message{Kind: proto.KindAccept, To: 1, Old: 2, Key: 3, Version: 9})
-				p[0] = 3
-				return p
-			}(), ErrVersion},
-		{"root-announce stamped v4",
-			func() []byte {
-				p := AppendMessage(nil, &proto.Message{Kind: proto.KindRootAnnounce, To: 1, Origin: 2, Seq: 9})
-				p[0] = 4
-				return p
-			}(), ErrVersion},
-		{"batch stamped v4",
+		// The epoch/term flag is only ever set to carry a non-zero field;
+		// a flagged zero pair would be a second encoding of the same
+		// message.
+		{"epoch/term flag with zero fields",
+			append(append([]byte{Version, good[1], flagEpochTerm}, good[3:]...), 0, 0), ErrNonCanonical},
+		{"epoch/term flag without fields",
+			append([]byte{Version, good[1], flagEpochTerm}, good[3:]...), ErrTruncated},
+		{"batch stamped v6",
 			func() []byte {
 				p := batchPayload()
-				p[0] = 4
+				p[0] = 6
 				return p
 			}(), ErrVersion},
-		{"batch stamped v2",
-			func() []byte {
-				p := batchPayload()
-				p[0] = 2
-				return p
-			}(), ErrVersion},
-		{"batch with piggy flag", []byte{3, byte(proto.KindBatch), flagPiggy}, ErrBadFlags},
+		{"batch with piggy flag", []byte{Version, byte(proto.KindBatch), flagPiggy}, ErrBadFlags},
+		{"batch with epoch/term flag", []byte{Version, byte(proto.KindBatch), flagEpochTerm}, ErrBadFlags},
 		{"truncated batch member",
 			func() []byte {
 				p := batchPayload()
@@ -278,19 +232,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
-	// A version-3 non-batch payload whose Key field is zero would be a
-	// second encoding of a key-0 message, so the decoder rejects it.
-	v3zero := []byte{3, byte(proto.KindSubscribe), 0}
-	for i := 0; i < 9; i++ {
-		v3zero = append(v3zero, 0) // To..Hops (8 varints) + Key
-	}
-	v3zero = append(v3zero, make([]byte, 8)...) // expiry
-	v3zero = append(v3zero, 0)                  // path length
-	if _, err := DecodeMessage(v3zero); !errors.Is(err, ErrNonCanonical) {
-		t.Errorf("v3 with zero key: err = %v, want %v", err, ErrNonCanonical)
-	}
 	// Zero-member and oversized batch envelopes.
-	bz := []byte{3, byte(proto.KindBatch), 0, 0, 0, 0} // To, Origin, Seq zeros
+	bz := []byte{Version, byte(proto.KindBatch), 0, 0, 0, 0} // To, Origin, Seq zeros
 	if _, err := DecodeMessage(appendVarintBytes(append([]byte{}, bz...), 0)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("empty batch: err = %v, want %v", err, ErrTooLarge)
 	}
@@ -308,9 +251,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Errorf("slack batch member: err = %v, want %v", err, ErrTrailing)
 	}
 	// Oversized path length.
-	huge := []byte{1, byte(proto.KindRequest), 0}
-	for i := 0; i < 8; i++ {
-		huge = append(huge, 0) // To..Hops zeros
+	huge := []byte{Version, byte(proto.KindRequest), 0}
+	for i := 0; i < 9; i++ {
+		huge = append(huge, 0) // To..Key zeros
 	}
 	huge = append(huge, make([]byte, 8)...) // expiry
 	huge = appendVarintBytes(huge, MaxPath+1)
@@ -383,8 +326,9 @@ func varintLen(v int64) int {
 
 // codecMix is the TCP hot path's message mix: every kind with a path as
 // long as its kind number, a push carrying a piggybacked subscribe, the
-// batch envelope holding four keyed pushes, and a keyed request for the
-// version-3 key varint.
+// replica kinds carrying the Epoch/Term trailer, the batch envelope
+// holding four keyed pushes, and a keyed request for a multi-byte key
+// varint.
 func codecMix() []*proto.Message {
 	var mix []*proto.Message
 	for k := 0; k < proto.NumKinds; k++ {
@@ -405,6 +349,9 @@ func codecMix() []*proto.Message {
 		}
 		if m.Kind == proto.KindPush {
 			m.SetPiggy(proto.KindSubscribe, 7)
+		}
+		if m.Kind >= proto.KindPrepare && m.Kind != proto.KindRootAnnounce {
+			m.Epoch, m.Term = 2, int64(k)<<40
 		}
 		mix = append(mix, m)
 	}

@@ -3,6 +3,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
