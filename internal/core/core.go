@@ -93,7 +93,14 @@ func (s *State) Len() int { return len(s.list) }
 
 // Subscribers returns a copy of the subscriber list in insertion order.
 func (s *State) Subscribers() []int {
-	return append([]int(nil), s.list...)
+	return s.AppendSubscribers(nil)
+}
+
+// AppendSubscribers appends the subscriber list, in insertion order, to
+// dst and returns it, letting the journal refill one buffer per key
+// instead of allocating per record.
+func (s *State) AppendSubscribers(dst []int) []int {
+	return append(dst, s.list...)
 }
 
 // EqualSubscribers reports whether the subscriber list equals other, entry

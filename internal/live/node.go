@@ -316,6 +316,9 @@ type lane struct {
 
 	// targets is pushOut's scratch slice, reused across pushes.
 	targets []int
+	// repOut collects the replica group's outbound frames; sendAll empties
+	// it. It is per lane because data lanes Bump the group concurrently.
+	repOut []*proto.Message
 
 	// Query correlation: queries born on this lane wait in pending, keyed
 	// by the Seq their request carried.
@@ -621,12 +624,6 @@ func (n *node) unregisterKey(key int) {
 	}
 }
 
-func (n *node) keysSnapshot() []int {
-	n.keyMu.Lock()
-	defer n.keyMu.Unlock()
-	return append([]int(nil), n.allKeys...)
-}
-
 // newMsg builds an outbound message; the transport owns it after Send.
 func (l *lane) newMsg(kind proto.Kind, to int) *proto.Message {
 	m := proto.NewMessage()
@@ -753,11 +750,15 @@ func (l *lane) send(m *proto.Message) {
 	l.out(m)
 }
 
-// sendAll queues a replica group's outbound messages.
+// sendAll queues a replica group's outbound messages, which the caller
+// appended to l.repOut[:0]. Their backing array becomes the next call's
+// repOut, with the pointers cleared: the transport owns the messages now.
 func (l *lane) sendAll(msgs []*proto.Message) {
 	for _, m := range msgs {
 		l.send(m)
 	}
+	clear(msgs)
+	l.repOut = msgs[:0]
 }
 
 // out bins m by target for the end-of-iteration flush, keeping bins in
@@ -912,7 +913,7 @@ func (l *lane) run() {
 			if g.Term() == 0 {
 				g.BootLeader()
 			} else if !g.Leading() {
-				l.sendAll(g.StartCandidate(now))
+				l.sendAll(g.AppendStartCandidate(l.repOut[:0], now))
 			}
 		}
 	}
@@ -1008,7 +1009,7 @@ func (l *lane) tick(now time.Time) {
 					// which case the old version keeps serving until its
 					// expiry and the next tick retries; and it may jump
 					// (a fail-over floor), which the stream adopts.
-					v, msgs, ok := rep.Bump(sh.key, next, nsToUnix(exp), now)
+					v, msgs, ok := rep.AppendBump(l.repOut[:0], sh.key, next, nsToUnix(exp), now)
 					l.sendAll(msgs)
 					if !ok {
 						continue
@@ -1060,10 +1061,10 @@ func (l *lane) tick(now time.Time) {
 				if to, ok := g.LeaseHolder(now); ok && to != n.id && !n.suspected(to) {
 					l.abdicate(to, now)
 				} else if g.StaleLeader(now) {
-					l.sendAll(g.StartCandidate(now))
+					l.sendAll(g.AppendStartCandidate(l.repOut[:0], now))
 				}
 			}
-			l.sendAll(g.Tick(now))
+			l.sendAll(g.AppendTick(l.repOut[:0], now))
 			// Permanent-failure horizon: a member silent past PermanentAfter
 			// (well beyond DeadAfter's restartable suspicion) is gone for
 			// good — the leaseholder heals the quorum by replacing it with a
@@ -1071,7 +1072,7 @@ func (l *lane) tick(now time.Time) {
 			if cfg.PermanentAfter > 0 && g.Leading() && !g.ReconfigInFlight() {
 				if dead := g.DeadMembers(now, cfg.PermanentAfter); len(dead) > 0 {
 					if repl := n.pickReplacement(g, dead); repl >= 0 {
-						msgs, _ := g.ProposeReplace(dead[0], repl, now)
+						msgs, _ := g.AppendProposeReplace(l.repOut[:0], dead[0], repl, now)
 						l.sendAll(msgs)
 					}
 				}
@@ -1480,7 +1481,7 @@ func (l *lane) becomeRoot(now time.Time, old int) {
 			n.rep.Store(g)
 		}
 		if !g.Leading() {
-			l.sendAll(g.StartCandidate(now))
+			l.sendAll(g.AppendStartCandidate(l.repOut[:0], now))
 		}
 	}
 	l.rootLane(now, old)
@@ -1605,7 +1606,9 @@ func (l *lane) control(c ctrlMsg) {
 // info snapshots one keyed shard's protocol state for Network.Inspect.
 // Unacked counts the inspected key's lane only: each lane runs its own
 // reliable queue, and with ShardLoops == 1 (the default) that is the
-// whole node.
+// whole node. Keys, Subscribers and PushTargets share one allocation,
+// handed out as capacity-clipped sub-slices so appending to one can never
+// write into the next.
 func (l *lane) info(key int) NodeInfo {
 	n := l.n
 	in := NodeInfo{
@@ -1614,7 +1617,6 @@ func (l *lane) info(key int) NodeInfo {
 		Parent:  n.parent(),
 		IsRoot:  n.isRoot.Load(),
 		Dead:    n.dead.Load(),
-		Keys:    n.keysSnapshot(),
 		Unacked: len(l.unacked),
 	}
 	if n.nw.cfg.announceOn() {
@@ -1624,12 +1626,25 @@ func (l *lane) info(key int) NodeInfo {
 		}
 	}
 	sh := l.lookup(key)
+	subs := 0
+	if sh != nil {
+		subs = sh.st.Len()
+	}
+	n.keyMu.Lock()
+	buf := make([]int, 0, len(n.allKeys)+2*subs)
+	buf = append(buf, n.allKeys...)
+	n.keyMu.Unlock()
+	in.Keys = buf[:len(buf):len(buf)]
 	if sh == nil {
 		return in
 	}
 	in.Interested = sh.st.Interested()
-	in.Subscribers = sh.st.Subscribers()
-	in.PushTargets = sh.st.PushTargets()
+	mark := len(buf)
+	buf = sh.st.AppendSubscribers(buf)
+	in.Subscribers = buf[mark:len(buf):len(buf)]
+	mark = len(buf)
+	buf = sh.st.AppendPushTargets(buf)
+	in.PushTargets = buf[mark:len(buf):len(buf)]
 	if in.IsRoot {
 		v, exp := sh.auth.load()
 		in.HaveCopy, in.Version, in.Expiry = true, v, nsToTime(exp)
@@ -1743,7 +1758,7 @@ func (l *lane) handleMsg(m *proto.Message, batched bool) {
 			g = fresh
 		}
 		if g != nil {
-			l.sendAll(g.Step(m, time.Now()))
+			l.sendAll(g.AppendStep(l.repOut[:0], m, time.Now()))
 		}
 		proto.Release(m)
 		return
@@ -2275,7 +2290,9 @@ func (l *lane) record() {
 			sh.st.EqualSubscribers(sh.lastRec.Subscribers) {
 			continue
 		}
-		ns.Subscribers = sh.st.Subscribers()
+		// The journal copies what it keeps, so the last record's list
+		// buffer is refilled in place.
+		ns.Subscribers = sh.st.AppendSubscribers(sh.lastRec.Subscribers[:0])
 		sh.lastRec = ns
 		sh.recValid = true
 		n.nw.journal.Record(ns)

@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,6 +265,90 @@ func TestRecordUnchangedAllocs(t *testing.T) {
 	l.record()
 	if j.records != 9 {
 		t.Errorf("a changed subscriber list wrote %d records, want 1", j.records-8)
+	}
+}
+
+// TestRecordChangedAllocs pins the record a version bump writes: one
+// record, with the unchanged subscriber list refilled into the last
+// record's buffer instead of a fresh copy.
+func TestRecordChangedAllocs(t *testing.T) {
+	skipAllocsUnderRace(t)
+	j := &countJournal{}
+	n := bareNode(topology.FromParents([]int{-1, 0, 1, 1}), 1, j)
+	l := n.lanes[0]
+	sh := l.shard(0)
+	sh.st.AdoptSubscriber(2)
+	sh.st.AdoptSubscriber(3)
+	exp := time.Now().Add(time.Minute).UnixNano()
+	var v int64
+	bump := func() {
+		v++
+		l.storeIn(sh, v, exp)
+		l.record()
+	}
+	bump()
+	if allocs := testing.AllocsPerRun(100, bump); allocs != 0 {
+		t.Errorf("recording a version bump allocates %.0f objects, want 0", allocs)
+	}
+	before := j.records
+	bump()
+	if got := j.records - before; got != 1 {
+		t.Errorf("a version bump wrote %d records, want 1", got)
+	}
+}
+
+// TestInspectAllocs pins Inspect of a subscribed node at one allocation:
+// the array behind Keys, Subscribers and PushTargets.
+func TestInspectAllocs(t *testing.T) {
+	skipAllocsUnderRace(t)
+	cfg := DefaultConfig()
+	cfg.Tree = topology.FromParents([]int{-1, 0, 1})
+	cfg.Threshold = 1
+	cfg.HopDelay = 0
+	nw, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Stop()
+	for i := 0; i < cfg.Threshold+1; i++ {
+		query(t, nw, 2, time.Second)
+	}
+	waitUntil(t, 2*time.Second, "node 2 to subscribe", func() bool {
+		in, err := nw.Inspect(2, time.Second)
+		return err == nil && in.Interested && in.HaveCopy
+	})
+	allocs := testing.AllocsPerRun(1000, func() {
+		in, err := nw.Inspect(1, time.Second)
+		if err != nil || len(in.Keys) != 1 || len(in.Subscribers) != 1 || len(in.PushTargets) != 1 {
+			t.Fatalf("Inspect(1) = %+v, %v; want one key, subscriber and push target", in, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Inspect allocates %.0f objects, want at most 1", allocs)
+	}
+}
+
+// TestInspectSlicesDoNotAlias checks that the three lists Inspect carves
+// out of one array are independent: appending to one never writes into
+// the next.
+func TestInspectSlicesDoNotAlias(t *testing.T) {
+	n := bareNode(topology.FromParents([]int{-1, 0, 1, 1}), 1, nil)
+	l := n.lanes[0]
+	sh := l.shard(0)
+	for _, id := range []int{1, 2, 3} {
+		sh.st.AdoptSubscriber(id)
+	}
+	in := l.info(0)
+	subs := append([]int(nil), in.Subscribers...)
+	targets := append([]int(nil), in.PushTargets...)
+	_ = append(in.Keys, -1, -1, -1, -1)
+	_ = append(in.Subscribers, -1, -1)
+	if !slices.Equal(in.Subscribers, subs) || !slices.Equal(in.PushTargets, targets) {
+		t.Fatalf("appending to Keys or Subscribers changed them: Subscribers %v (want %v), PushTargets %v (want %v)",
+			in.Subscribers, subs, in.PushTargets, targets)
+	}
+	if !slices.Equal(in.Keys, []int{0}) || !slices.Equal(subs, []int{1, 2, 3}) || !slices.Equal(targets, []int{2, 3}) {
+		t.Fatalf("Keys %v, Subscribers %v, PushTargets %v; want [0], [1 2 3] and [2 3]", in.Keys, subs, targets)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestNextAnnounceLeaderAndLeaseGated(t *testing.T) {
 	if _, ok := g.NextAnnounce(now); ok {
 		t.Fatal("leader issued an announce sequence before any lease ack")
 	}
-	c.pump(g.Tick(now), now)
+	c.pump(g.AppendTick(nil, now), now)
 	var prev int64
 	for i := 0; i < 5; i++ {
 		s, ok := g.NextAnnounce(now)
@@ -36,7 +36,7 @@ func TestNextAnnounceLeaderAndLeaseGated(t *testing.T) {
 	}
 	// The lease runs out unrenewed; the sequence source dries up with it.
 	later := now.Add(2 * time.Second)
-	drop(g.Tick(later))
+	drop(g.AppendTick(nil, later))
 	if _, ok := g.NextAnnounce(later); ok {
 		t.Fatal("leader issued an announce sequence past an expired lease")
 	}
@@ -52,7 +52,7 @@ func TestNextAnnounceMonotoneAcrossFailover(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 	var highest int64
 	for i := 0; i < 100; i++ {
 		s, ok := g0.NextAnnounce(now)
@@ -64,7 +64,7 @@ func TestNextAnnounceMonotoneAcrossFailover(t *testing.T) {
 	// Replica 1 takes over (the old leader's promise never arrives).
 	g1 := c.groups[1]
 	var kept []*proto.Message
-	for _, m := range g1.StartCandidate(now) {
+	for _, m := range g1.AppendStartCandidate(nil, now) {
 		if m.To == 0 {
 			proto.Release(m)
 			continue
@@ -84,7 +84,7 @@ func TestNextAnnounceMonotoneAcrossFailover(t *testing.T) {
 	}
 	// The old leader comes back and hears the higher term on the next
 	// renewal round: it must fall silent for good.
-	c.pump(g1.Tick(now.Add(400*time.Millisecond)), now.Add(400*time.Millisecond))
+	c.pump(g1.AppendTick(nil, now.Add(400*time.Millisecond)), now.Add(400*time.Millisecond))
 	if _, ok := g0.NextAnnounce(now); ok {
 		t.Fatal("deposed leader still issuing announce sequences")
 	}
@@ -101,7 +101,7 @@ func TestReserveStatus(t *testing.T) {
 		t.Fatal("follower claims to lead")
 	}
 	g.BootLeader()
-	c.pump(g.Tick(now), now)
+	c.pump(g.AppendTick(nil, now), now)
 	if lag, headroom, leading := g.ReserveStatus(); !leading || lag != 0 || headroom != 2 {
 		t.Fatalf("idle leader: lag=%d headroom=%d leading=%v, want 0, 2, true", lag, headroom, leading)
 	}
@@ -109,7 +109,7 @@ func TestReserveStatus(t *testing.T) {
 	// log head runs two ahead of anything a quorum accepted.
 	var pending []*proto.Message
 	for want := int64(1); want <= 2; want++ {
-		v, out, ok := g.Bump(0, want, 2000.5, now)
+		v, out, ok := g.AppendBump(nil, 0, want, 2000.5, now)
 		pending = append(pending, out...)
 		if !ok || v != want {
 			t.Fatalf("Bump(%d) = (%d, ok=%v) inside the reserve", want, v, ok)

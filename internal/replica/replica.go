@@ -83,8 +83,9 @@ type Config struct {
 	// own log stays volatile; safety comes from the member quorum).
 	ID int
 	// Members is the epoch-0 replica set, identical on every node. Later
-	// epochs are installed by online reconfiguration (ProposeReplace) and
-	// recovered from the journal with RestoreConfig.
+	// epochs are installed by online reconfiguration
+	// (AppendProposeReplace) and recovered from the journal with
+	// RestoreConfig.
 	Members []int
 	// Lease is the leader lease duration (and the failover freshness
 	// bound). Zero means one second.
@@ -404,7 +405,7 @@ func (g *Group) RestoreConfig(rc store.ReplicaConfig) {
 
 // BootLeader makes this node the term-1 leader of a genuinely fresh
 // cluster (the designated authority at first boot). It must not be used
-// after a crash or failover — those paths go through StartCandidate,
+// after a crash or failover — those paths go through AppendStartCandidate,
 // whose promise round re-establishes the exposure floor. The lease still
 // has to be acquired through Tick before the leader may serve.
 func (g *Group) BootLeader() {
@@ -433,14 +434,14 @@ func (g *Group) resetLeaderLocked() {
 	g.rc = nil
 }
 
-// StartCandidate opens a new leadership round: bumps the term past
+// AppendStartCandidate opens a new leadership round: bumps the term past
 // everything seen and asks every member for a promise plus its accepted
-// log. The returned prepares must be sent; Tick retransmits them until a
-// quorum answers.
-func (g *Group) StartCandidate(now time.Time) []*proto.Message {
+// log. It appends the prepares to dst and returns it; they must be sent,
+// and AppendTick retransmits them until a quorum answers.
+func (g *Group) AppendStartCandidate(dst []*proto.Message, now time.Time) []*proto.Message {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.startRoundLocked(now)
+	return g.startRoundLocked(dst, now)
 }
 
 // startRoundLocked opens (or reopens, from the candidate retransmission
@@ -448,7 +449,7 @@ func (g *Group) StartCandidate(now time.Time) []*proto.Message {
 // a fresh term also outruns a competitor's still-valid lease within one
 // retry, so a candidate that guessed a stale term is not stuck waiting
 // the lease out.
-func (g *Group) startRoundLocked(now time.Time) []*proto.Message {
+func (g *Group) startRoundLocked(dst []*proto.Message, now time.Time) []*proto.Message {
 	g.term++
 	g.role = candidate
 	g.leaseGood.Store(0)
@@ -468,14 +469,13 @@ func (g *Group) startRoundLocked(now time.Time) []*proto.Message {
 	}
 	g.prepExp = timeToUnix(now.Add(g.lease))
 	g.lastPrep = now
-	msgs := g.preparesLocked()
+	dst = g.preparesLocked(dst)
 	g.maybePromoteLocked(now)
-	return msgs
+	return dst
 }
 
-// preparesLocked builds one prepare per peer for the current term.
-func (g *Group) preparesLocked() []*proto.Message {
-	var msgs []*proto.Message
+// preparesLocked appends one prepare per peer for the current term.
+func (g *Group) preparesLocked(dst []*proto.Message) []*proto.Message {
 	for _, p := range g.peers {
 		m := proto.NewMessage()
 		m.Kind = proto.KindPrepare
@@ -484,9 +484,9 @@ func (g *Group) preparesLocked() []*proto.Message {
 		m.Term = g.term
 		m.Epoch = g.conf.epoch
 		m.Expiry = g.prepExp
-		msgs = append(msgs, m)
+		dst = append(dst, m)
 	}
-	return msgs
+	return dst
 }
 
 // maybePromoteLocked checks the candidate's promise tally and, at
@@ -657,18 +657,24 @@ func (g *Group) Accepted(key int) int64 {
 	return g.log[key].version
 }
 
-// Bump is the leader hot path: expose version want (or the key's floor,
-// whichever is higher) for key. It returns the version actually exposed,
-// any accept frames that must be sent, and whether exposure is allowed
-// right now. Exposure is refused — with the stream left exactly where it
-// was — when this node holds no live lease or when the version reserve
-// is exhausted (a quorum has not yet accepted within B of the target);
-// the returned accepts still must be sent so replication can catch up.
+// Bump is AppendBump into a fresh slice.
 func (g *Group) Bump(key int, want int64, expiry float64, now time.Time) (int64, []*proto.Message, bool) {
+	return g.AppendBump(nil, key, want, expiry, now)
+}
+
+// AppendBump is the leader hot path: expose version want (or the key's
+// floor, whichever is higher) for key. It returns the version actually
+// exposed, dst with any accept frames that must be sent appended, and
+// whether exposure is allowed right now. Exposure is refused — with the
+// stream left exactly where it was — when this node holds no live lease
+// or when the version reserve is exhausted (a quorum has not yet
+// accepted within B of the target); the returned accepts still must be
+// sent so replication can catch up.
+func (g *Group) AppendBump(dst []*proto.Message, key int, want int64, expiry float64, now time.Time) (int64, []*proto.Message, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.role != leader {
-		return 0, nil, false
+		return 0, dst, false
 	}
 	v := want
 	if f, ok := g.floors[key]; ok {
@@ -682,7 +688,6 @@ func (g *Group) Bump(key int, want int64, expiry float64, now time.Time) (int64,
 	if v < cur.version {
 		v = cur.version
 	}
-	var msgs []*proto.Message
 	if v > cur.version {
 		// Local append: durable before any frame leaves, so the accept we
 		// advertise can never be forgotten.
@@ -692,22 +697,21 @@ func (g *Group) Bump(key int, want int64, expiry float64, now time.Time) (int64,
 				ID: g.cfg.ID, Key: key, Term: g.term, Version: v, Expiry: expiry,
 			})
 		}
-		msgs = g.acceptsLocked(key)
+		dst = g.acceptsLocked(dst, key)
 	}
 	if !g.MayServe(now) {
-		return 0, msgs, false
+		return 0, dst, false
 	}
 	if v > g.quorumAcceptedLocked(key)+g.reserve {
-		return 0, msgs, false
+		return 0, dst, false
 	}
-	return v, msgs, true
+	return v, dst, true
 }
 
-// acceptsLocked builds accept frames for every peer still behind the log
-// head of key.
-func (g *Group) acceptsLocked(key int) []*proto.Message {
+// acceptsLocked appends accept frames for every peer still behind the
+// log head of key.
+func (g *Group) acceptsLocked(dst []*proto.Message, key int) []*proto.Message {
 	e := g.log[key]
-	var msgs []*proto.Message
 	for _, p := range g.peers {
 		if g.acked[p][key] >= e.version {
 			continue
@@ -721,9 +725,9 @@ func (g *Group) acceptsLocked(key int) []*proto.Message {
 		m.Key = key
 		m.Version = e.version
 		m.Expiry = e.expiry
-		msgs = append(msgs, m)
+		dst = append(dst, m)
 	}
-	return msgs
+	return dst
 }
 
 // quorumAcceptedLocked returns the highest version a full quorum of
@@ -741,26 +745,50 @@ func (g *Group) quorumAcceptedLocked(key int) int64 {
 }
 
 // setAcceptedLocked returns the highest version a majority of one member
-// set has durably accepted for key.
+// set has durably accepted for key: the largest member version v that at
+// least a majority of the set has reached. Member sets are a handful of
+// ids and this runs per key on every leader tick, so it counts instead of
+// sorting a copy. Accepted versions are never negative, so 0 (also the
+// answer for an empty set) is the floor.
 func (g *Group) setAcceptedLocked(set []int, key int) int64 {
-	if len(set) == 0 {
-		return 0
-	}
-	vals := make([]int64, 0, len(set))
-	for _, id := range set {
-		if id == g.cfg.ID {
-			vals = append(vals, g.log[key].version)
-		} else {
-			vals = append(vals, g.acked[id][key])
+	need := majority(len(set))
+	var best int64
+	for _, a := range set {
+		v := g.acceptedByLocked(a, key)
+		if v <= best {
+			continue
+		}
+		n := 0
+		for _, b := range set {
+			if g.acceptedByLocked(b, key) >= v {
+				n++
+			}
+		}
+		if n >= need {
+			best = v
 		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
-	return vals[majority(len(set))-1]
+	return best
 }
 
-// Step feeds one replica frame to the state machine and returns the
-// frames to send in response. The caller keeps ownership of m.
+// acceptedByLocked returns the version member id is known to have durably
+// accepted for key: this node's own log head, or a peer's latest ack.
+func (g *Group) acceptedByLocked(id, key int) int64 {
+	if id == g.cfg.ID {
+		return g.log[key].version
+	}
+	return g.acked[id][key]
+}
+
+// Step is AppendStep into a fresh slice.
 func (g *Group) Step(m *proto.Message, now time.Time) []*proto.Message {
+	return g.AppendStep(nil, m, now)
+}
+
+// AppendStep feeds one replica frame to the state machine, appends the
+// frames to send in response to dst and returns it. The caller keeps
+// ownership of m.
+func (g *Group) AppendStep(dst []*proto.Message, m *proto.Message, now time.Time) []*proto.Message {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	term := m.Term
@@ -769,9 +797,9 @@ func (g *Group) Step(m *proto.Message, now time.Time) []*proto.Message {
 	}
 	switch m.Kind {
 	case proto.KindReconfig:
-		return g.onReconfigLocked(m, term, now)
+		return g.onReconfigLocked(dst, m, term, now)
 	case proto.KindStateXfer:
-		return g.onXferLocked(m, term, now)
+		return g.onXferLocked(dst, m, term, now)
 	}
 	// Config epoch gate: a frame from a different epoch must not vote.
 	// When the sender is ahead we ask it for the config it holds; when it
@@ -779,26 +807,26 @@ func (g *Group) Step(m *proto.Message, now time.Time) []*proto.Message {
 	// recovers by retransmission once the epochs agree.
 	if epoch := m.Epoch; epoch != g.conf.epoch {
 		if epoch > g.conf.epoch {
-			return []*proto.Message{g.confNeedLocked(m.Origin)}
+			return append(dst, g.confNeedLocked(m.Origin))
 		}
-		return []*proto.Message{g.confRecordLocked(m.Origin)}
+		return append(dst, g.confRecordLocked(m.Origin))
 	}
 	switch m.Kind {
 	case proto.KindPrepare:
-		return g.onPrepareLocked(m, term, now)
+		return g.onPrepareLocked(dst, m, term, now)
 	case proto.KindPromise:
-		return g.onPromiseLocked(m, term, now)
+		g.onPromiseLocked(m, term, now)
 	case proto.KindAccept:
-		return g.onAcceptLocked(m, term)
+		return g.onAcceptLocked(dst, m, term)
 	case proto.KindCommit:
 		g.observeTermLocked(term)
 		if term == g.term && m.Version > g.committed[m.Key] {
 			g.committed[m.Key] = m.Version
 		}
 	case proto.KindLease:
-		return g.onLeaseLocked(m, term, now)
+		return g.onLeaseLocked(dst, m, term, now)
 	}
-	return nil
+	return dst
 }
 
 // observeTermLocked adopts a higher term, stepping down from any leader
@@ -814,17 +842,17 @@ func (g *Group) observeTermLocked(term int64) {
 	g.votes, g.voted = nil, nil
 }
 
-func (g *Group) onPrepareLocked(m *proto.Message, term int64, now time.Time) []*proto.Message {
+func (g *Group) onPrepareLocked(dst []*proto.Message, m *proto.Message, term int64, now time.Time) []*proto.Message {
 	if term < g.term {
 		// Stale round. Teach the candidate who actually leads (when we can
 		// prove it): a non-member root that lost a fail-over race has no
 		// other way to learn it should abdicate.
-		return g.relayGrantLocked(m.Origin, now)
+		return g.relayGrantLocked(dst, m.Origin, now)
 	}
 	if term == g.term && g.leaseHolder != m.Origin && now.Before(g.leaseUntil) {
 		// Same-term competition against a live lease: first candidate wins
 		// this replica for the term.
-		return g.relayGrantLocked(m.Origin, now)
+		return g.relayGrantLocked(dst, m.Origin, now)
 	}
 	g.observeTermLocked(term)
 	if term == g.term && g.role != follower && m.Origin != g.cfg.ID {
@@ -832,7 +860,7 @@ func (g *Group) onPrepareLocked(m *proto.Message, term int64, now time.Time) []*
 			// Equal term, we are leader (our round already won) or the
 			// rival candidate has the higher id: our round continues; the
 			// competitor needs a higher term.
-			return nil
+			return dst
 		}
 		// Equal-term candidate duel, rival has the lower id: stand down
 		// and vote for it. Without a tie-break two member candidates can
@@ -845,7 +873,7 @@ func (g *Group) onPrepareLocked(m *proto.Message, term int64, now time.Time) []*
 	g.leaseHolder = m.Origin
 	g.leaseUntil = unixToTime(m.Expiry)
 	if !g.member {
-		return nil
+		return dst
 	}
 	// Promise: ship the accepted log back, chunked under the wire codec's
 	// path bound; the final chunk sets New=1 so the candidate counts the
@@ -855,17 +883,16 @@ func (g *Group) onPrepareLocked(m *proto.Message, term int64, now time.Time) []*
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	var msgs []*proto.Message
 	pm := g.newPromiseLocked(m.Origin, subPrepare)
 	for _, k := range keys {
 		pm.Path = append(pm.Path, k, int(g.log[k].version))
 		if len(pm.Path) >= 2*maxPromisePairs {
-			msgs = append(msgs, pm)
+			dst = append(dst, pm)
 			pm = g.newPromiseLocked(m.Origin, subPrepare)
 		}
 	}
 	pm.New = 1
-	return append(msgs, pm)
+	return append(dst, pm)
 }
 
 // relayGrantLocked forwards the current proven lease grant to a refused
@@ -873,9 +900,9 @@ func (g *Group) onPrepareLocked(m *proto.Message, term int64, now time.Time) []*
 // renewal's Seq is always positive, so any ack the receiver sends is
 // ignored by the holder's renewal tally). Members only — the relay's
 // authority is the member's own granted lease.
-func (g *Group) relayGrantLocked(to int, now time.Time) []*proto.Message {
+func (g *Group) relayGrantLocked(dst []*proto.Message, to int, now time.Time) []*proto.Message {
 	if !g.member || g.grantHolder < 0 || g.grantHolder == to || !now.Before(g.grantUntil) {
-		return nil
+		return dst
 	}
 	m := proto.NewMessage()
 	m.Kind = proto.KindLease
@@ -885,7 +912,7 @@ func (g *Group) relayGrantLocked(to int, now time.Time) []*proto.Message {
 	m.Epoch = g.conf.epoch
 	m.Seq = 0
 	m.Expiry = timeToUnix(g.grantUntil)
-	return []*proto.Message{m}
+	return append(dst, m)
 }
 
 func (g *Group) newPromiseLocked(to, subject int) *proto.Message {
@@ -899,15 +926,15 @@ func (g *Group) newPromiseLocked(to, subject int) *proto.Message {
 	return pm
 }
 
-func (g *Group) onPromiseLocked(m *proto.Message, term int64, now time.Time) []*proto.Message {
+func (g *Group) onPromiseLocked(m *proto.Message, term int64, now time.Time) {
 	g.observeTermLocked(term)
 	if term != g.term {
-		return nil
+		return
 	}
 	switch m.Subject {
 	case subPrepare:
 		if g.role != candidate {
-			return nil
+			return
 		}
 		snap := g.votes[m.Origin]
 		if snap == nil {
@@ -926,7 +953,7 @@ func (g *Group) onPromiseLocked(m *proto.Message, term int64, now time.Time) []*
 		g.maybePromoteLocked(now)
 	case subAccept:
 		if g.role != leader {
-			return nil
+			return
 		}
 		am := g.acked[m.Origin]
 		if am == nil {
@@ -938,7 +965,7 @@ func (g *Group) onPromiseLocked(m *proto.Message, term int64, now time.Time) []*
 		}
 	case subLease:
 		if g.role != leader || m.Seq != g.leaseSeq {
-			return nil
+			return
 		}
 		g.leaseAcks[m.Origin] = true
 		granted := g.quorumOKLocked(func(id int) bool {
@@ -952,16 +979,15 @@ func (g *Group) onPromiseLocked(m *proto.Message, term int64, now time.Time) []*
 			}
 		}
 	}
-	return nil
 }
 
-func (g *Group) onAcceptLocked(m *proto.Message, term int64) []*proto.Message {
+func (g *Group) onAcceptLocked(dst []*proto.Message, m *proto.Message, term int64) []*proto.Message {
 	if term < g.term {
-		return nil // stale leader; no ack, let it stall
+		return dst // stale leader; no ack, let it stall
 	}
 	g.observeTermLocked(term)
 	if !g.member {
-		return nil
+		return dst
 	}
 	if m.Version > g.log[m.Key].version {
 		g.log[m.Key] = entry{term: term, version: m.Version, expiry: m.Expiry}
@@ -976,12 +1002,12 @@ func (g *Group) onAcceptLocked(m *proto.Message, term int64) []*proto.Message {
 	pm := g.newPromiseLocked(m.Origin, subAccept)
 	pm.Key = m.Key
 	pm.Seq = g.log[m.Key].version
-	return []*proto.Message{pm}
+	return append(dst, pm)
 }
 
-func (g *Group) onLeaseLocked(m *proto.Message, term int64, now time.Time) []*proto.Message {
+func (g *Group) onLeaseLocked(dst []*proto.Message, m *proto.Message, term int64, now time.Time) []*proto.Message {
 	if term < g.term {
-		return nil
+		return dst
 	}
 	g.observeTermLocked(term)
 	g.leaseHolder = m.Origin
@@ -992,18 +1018,24 @@ func (g *Group) onLeaseLocked(m *proto.Message, term int64, now time.Time) []*pr
 	g.grantHolder = m.Origin
 	g.grantUntil = g.leaseUntil
 	if !g.member {
-		return nil
+		return dst
 	}
 	pm := g.newPromiseLocked(m.Origin, subLease)
 	pm.Seq = m.Seq
-	return []*proto.Message{pm}
+	return append(dst, pm)
 }
 
-// Tick drives the timers: candidate prepare retransmission, leader lease
-// renewal, accept anti-entropy for lagging peers, and commit watermark
-// propagation. The host calls it from its periodic loop (the keep-alive
-// cadence is fine).
+// Tick is AppendTick into a fresh slice.
 func (g *Group) Tick(now time.Time) []*proto.Message {
+	return g.AppendTick(nil, now)
+}
+
+// AppendTick drives the timers: candidate prepare retransmission, leader
+// lease renewal, accept anti-entropy for lagging peers, and commit
+// watermark propagation. It appends the frames to send to dst and
+// returns it. The host calls it from its periodic loop (the keep-alive
+// cadence is fine).
+func (g *Group) AppendTick(dst []*proto.Message, now time.Time) []*proto.Message {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch g.role {
@@ -1013,21 +1045,20 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 		// reach the survivors first and win.
 		stagger := g.lease * time.Duration(min(g.cfg.ID, 12)) / 64
 		if now.Sub(g.lastPrep) < g.lease/4+stagger {
-			return nil
+			return dst
 		}
-		return g.startRoundLocked(now)
+		return g.startRoundLocked(dst, now)
 	case leader:
 		if g.lastGrant.IsZero() {
 			// First leader tick (BootLeader has no clock): start the
 			// staleness window now.
 			g.lastGrant = now
 		}
-		var msgs []*proto.Message
 		// Renew the lease at a third of its duration, so two consecutive
 		// renewal round-trips can be lost before serving pauses.
 		if g.leaseSent.IsZero() || now.Sub(g.leaseSent) >= g.lease/3 {
 			g.leaseSeq++
-			g.leaseAcks = make(map[int]bool)
+			clear(g.leaseAcks)
 			g.leaseSent = now
 			for _, p := range g.peers {
 				m := proto.NewMessage()
@@ -1038,7 +1069,7 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 				m.Epoch = g.conf.epoch
 				m.Seq = g.leaseSeq
 				m.Expiry = timeToUnix(now.Add(g.lease))
-				msgs = append(msgs, m)
+				dst = append(dst, m)
 			}
 			// A sole-member group (degenerate R=1) self-renews.
 			if len(g.peers) == 0 && g.member {
@@ -1064,16 +1095,16 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 		if g.rc != nil && (g.rc.lastSend.IsZero() || now.Sub(g.rc.lastSend) >= g.lease/4) {
 			g.rc.lastSend = now
 			if g.rc.phase == rcXfer {
-				msgs = append(msgs, g.xferLocked()...)
+				dst = g.xferLocked(dst)
 			} else {
-				msgs = append(msgs, g.confBroadcastLocked()...)
+				dst = g.confBroadcastLocked(dst)
 			}
-			msgs = append(msgs, g.advanceReconfigLocked(now)...)
+			dst = g.advanceReconfigLocked(dst, now)
 		}
 		// Anti-entropy: re-offer the log head to any peer behind it, and
 		// advance the commit watermark when a quorum has caught up.
 		for k := range g.log {
-			msgs = append(msgs, g.acceptsLocked(k)...)
+			dst = g.acceptsLocked(dst, k)
 			if qa := g.quorumAcceptedLocked(k); qa > g.commitOut[k] {
 				g.commitOut[k] = qa
 				if qa > g.committed[k] {
@@ -1089,16 +1120,15 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 					m.Epoch = g.conf.epoch
 					m.Key = k
 					m.Version = qa
-					msgs = append(msgs, m)
+					dst = append(dst, m)
 				}
 			}
 		}
-		return msgs
 	}
-	return nil
+	return dst
 }
 
-// ProposeReplace starts replacing the (presumed permanently dead)
+// AppendProposeReplace starts replacing the (presumed permanently dead)
 // member dead with the non-member repl: first a snapshot-style state
 // transfer streams the leader's accepted log to repl, then — once repl
 // acks the whole snapshot — the joint config (old∧new) is journalled
@@ -1107,16 +1137,16 @@ func (g *Group) Tick(now time.Time) []*proto.Message {
 // keep every old/new quorum pair intersecting, so no decision point
 // exists where the two sets could diverge. Only a serving leaseholder
 // with a stable config and no change in flight may propose; anything
-// else returns nil, false. The returned frames must be sent; Tick
-// retransmits each phase until it completes.
-func (g *Group) ProposeReplace(dead, repl int, now time.Time) ([]*proto.Message, bool) {
+// else returns dst, false. The frames appended to dst must be sent;
+// AppendTick retransmits each phase until it completes.
+func (g *Group) AppendProposeReplace(dst []*proto.Message, dead, repl int, now time.Time) ([]*proto.Message, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.role != leader || g.rc != nil || g.conf.joint() || !g.MayServe(now) {
-		return nil, false
+		return dst, false
 	}
 	if dead == repl || repl == g.cfg.ID {
-		return nil, false
+		return dst, false
 	}
 	isMember := false
 	for _, id := range g.conf.cur {
@@ -1124,11 +1154,11 @@ func (g *Group) ProposeReplace(dead, repl int, now time.Time) ([]*proto.Message,
 			isMember = true
 		}
 		if id == repl {
-			return nil, false
+			return dst, false
 		}
 	}
 	if !isMember {
-		return nil, false
+		return dst, false
 	}
 	newSet := make([]int, 0, len(g.conf.cur))
 	for _, id := range g.conf.cur {
@@ -1139,17 +1169,17 @@ func (g *Group) ProposeReplace(dead, repl int, now time.Time) ([]*proto.Message,
 	newSet = append(newSet, repl)
 	sort.Ints(newSet)
 	g.rc = &reconfig{phase: rcXfer, add: repl, newSet: newSet, acks: make(map[int]bool), lastSend: now}
-	return g.xferLocked(), true
+	return g.xferLocked(dst), true
 }
 
-// xferLocked builds the full state transfer for the in-flight
+// xferLocked appends the full state transfer for the in-flight
 // replacement: a begin frame naming the current members, the default
 // floor and the chunk count, then the accepted log (raised to its
 // floors — the floor is the real exposure bound for keys this leader
 // never bumped) as indexed key,version chunks. The whole snapshot is
 // rebuilt per retransmission, so chunk indices always mean the same
 // pairs within one epoch.
-func (g *Group) xferLocked() []*proto.Message {
+func (g *Group) xferLocked(dst []*proto.Message) []*proto.Message {
 	rc := g.rc
 	keys := make([]int, 0, len(g.log)+len(g.floors))
 	for k := range g.log {
@@ -1166,7 +1196,7 @@ func (g *Group) xferLocked() []*proto.Message {
 	b.Path = append(b.Path, g.conf.cur...)
 	b.Version = g.floorDef
 	b.New = chunks
-	msgs := []*proto.Message{b}
+	dst = append(dst, b)
 	for c := 0; c < chunks; c++ {
 		cm := g.newXferLocked(rc.add, subXferChunk)
 		cm.Version = int64(c)
@@ -1177,9 +1207,9 @@ func (g *Group) xferLocked() []*proto.Message {
 			}
 			cm.Path = append(cm.Path, k, int(v))
 		}
-		msgs = append(msgs, cm)
+		dst = append(dst, cm)
 	}
-	return msgs
+	return dst
 }
 
 func (g *Group) newXferLocked(to, subject int) *proto.Message {
@@ -1197,7 +1227,7 @@ func (g *Group) newXferLocked(to, subject int) *proto.Message {
 // applies begin/chunk frames (journalling every entry before anything
 // is acked, so a crash never forgets a snapshot it claimed), and the
 // leader turns the completion ack into the joint config proposal.
-func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*proto.Message {
+func (g *Group) onXferLocked(dst []*proto.Message, m *proto.Message, term int64, now time.Time) []*proto.Message {
 	switch m.Subject {
 	case subXferBegin:
 		// A transfer from a term below ours comes from a deposed or
@@ -1205,7 +1235,7 @@ func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*pro
 		// plant a member set (or raise the floor) on a recruit that has
 		// already heard from the real leadership.
 		if term < g.term || m.Epoch < g.conf.epoch || len(m.Path) == 0 {
-			return nil
+			return dst
 		}
 		g.observeTermLocked(term)
 		if m.Epoch > g.conf.epoch {
@@ -1219,10 +1249,10 @@ func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*pro
 		if g.xferEpoch != m.Epoch || g.xferChunks != m.New || g.xferGot == nil {
 			g.xferEpoch, g.xferChunks, g.xferGot = m.Epoch, m.New, make(map[int]bool)
 		}
-		return g.maybeXferAckLocked(m.Origin)
+		return g.maybeXferAckLocked(dst, m.Origin)
 	case subXferChunk:
 		if term < g.term || g.xferGot == nil || m.Epoch != g.xferEpoch || m.Epoch < g.conf.epoch {
-			return nil
+			return dst
 		}
 		g.observeTermLocked(term)
 		for i := 0; i+1 < len(m.Path); i += 2 {
@@ -1237,12 +1267,12 @@ func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*pro
 			}
 		}
 		g.xferGot[int(m.Version)] = true
-		return g.maybeXferAckLocked(m.Origin)
+		return g.maybeXferAckLocked(dst, m.Origin)
 	case subXferAck:
 		g.observeTermLocked(term)
 		if g.role != leader || g.rc == nil || g.rc.phase != rcXfer ||
 			m.Origin != g.rc.add || m.Epoch != g.conf.epoch {
-			return nil
+			return dst
 		}
 		// The replacement holds the snapshot: open the joint phase. The
 		// joint config is journalled before it is proposed, so this
@@ -1256,21 +1286,21 @@ func (g *Group) onXferLocked(m *proto.Message, term int64, now time.Time) []*pro
 		rc.phase = rcJoint
 		rc.acks = make(map[int]bool)
 		rc.lastSend = now
-		msgs := g.confBroadcastLocked()
-		return append(msgs, g.advanceReconfigLocked(now)...)
+		dst = g.confBroadcastLocked(dst)
+		return g.advanceReconfigLocked(dst, now)
 	}
-	return nil
+	return dst
 }
 
 // maybeXferAckLocked acks the state transfer once every chunk of the
 // current snapshot has been applied (and journalled).
-func (g *Group) maybeXferAckLocked(to int) []*proto.Message {
+func (g *Group) maybeXferAckLocked(dst []*proto.Message, to int) []*proto.Message {
 	if g.xferGot == nil || len(g.xferGot) < g.xferChunks {
-		return nil
+		return dst
 	}
 	m := g.newXferLocked(to, subXferAck)
 	m.Epoch = g.xferEpoch
-	return []*proto.Message{m}
+	return append(dst, m)
 }
 
 // onReconfigLocked handles the config-change frames: members adopt and
@@ -1290,17 +1320,17 @@ func (g *Group) maybeXferAckLocked(to int) []*proto.Message {
 // echoes the answered proposal's term, so a driving leader only ever
 // tallies acks for its own exact proposal, never a rival's same-epoch
 // one — the split-brain the joint phase exists to prevent.
-func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []*proto.Message {
+func (g *Group) onReconfigLocked(dst []*proto.Message, m *proto.Message, term int64, now time.Time) []*proto.Message {
 	switch m.Subject {
 	case subConfJoint, subConfFinal:
 		if term < g.term {
 			// Stale proposer (a deposed leader's retransmission): teach it.
-			return []*proto.Message{g.confRecordLocked(m.Origin)}
+			return append(dst, g.confRecordLocked(m.Origin))
 		}
 		epoch := m.Epoch
 		if epoch < g.conf.epoch {
 			// Old-epoch proposer (an old leader's retransmission): teach it.
-			return []*proto.Message{g.confRecordLocked(m.Origin)}
+			return append(dst, g.confRecordLocked(m.Origin))
 		}
 		var c confState
 		if m.Subject == subConfJoint {
@@ -1309,7 +1339,7 @@ func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []
 			// otherwise durably install a config whose quorum can never be
 			// satisfied, bricking the member for good.
 			if n < 1 || n >= len(m.Path) {
-				return nil
+				return dst
 			}
 			c = confState{
 				epoch: epoch,
@@ -1319,7 +1349,7 @@ func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []
 			}
 		} else {
 			if len(m.Path) == 0 {
-				return nil
+				return dst
 			}
 			c = confState{epoch: epoch, term: term, cur: append([]int(nil), m.Path...)}
 		}
@@ -1329,33 +1359,33 @@ func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []
 				// Idempotent re-ack, naming the exact proposal answered (a
 				// re-elected leader re-drives an inherited config under its
 				// new term; the echo must follow the frame, not our journal).
-				return []*proto.Message{g.confAckLocked(m.Origin, term)}
+				return append(dst, g.confAckLocked(m.Origin, term))
 			}
 			if term <= g.conf.term {
 				// Conflicting same-epoch config from no newer a term: one
 				// leader per term means this cannot be a legitimate rival.
-				return nil
+				return dst
 			}
 			// A strictly higher term proposes a different config at our
 			// epoch: its election quorum intersects whatever adopted ours,
 			// so ours can never have committed — supersede it.
 		}
 		g.installConfLocked(c, true)
-		return []*proto.Message{g.confAckLocked(m.Origin, term)}
+		return append(dst, g.confAckLocked(m.Origin, term))
 	case subConfAck:
 		g.observeTermLocked(term)
 		if g.role != leader || g.rc == nil || m.Epoch != g.conf.epoch || m.Version != g.term {
-			return nil
+			return dst
 		}
 		g.rc.acks[m.Origin] = true
-		return g.advanceReconfigLocked(now)
+		return g.advanceReconfigLocked(dst, now)
 	case subConfNeed:
 		g.observeTermLocked(term)
 		if m.Epoch < g.conf.epoch {
-			return []*proto.Message{g.confRecordLocked(m.Origin)}
+			return append(dst, g.confRecordLocked(m.Origin))
 		}
 	}
-	return nil
+	return dst
 }
 
 // advanceReconfigLocked moves the in-flight change forward whenever the
@@ -1363,15 +1393,14 @@ func (g *Group) onReconfigLocked(m *proto.Message, term int64, now time.Time) []
 // into the final config (journalled, then broadcast), and the final
 // phase completes the change. The loop handles degenerate groups whose
 // own ack already is a quorum.
-func (g *Group) advanceReconfigLocked(now time.Time) []*proto.Message {
-	var msgs []*proto.Message
+func (g *Group) advanceReconfigLocked(dst []*proto.Message, now time.Time) []*proto.Message {
 	for g.rc != nil {
 		rc := g.rc
 		if rc.phase == rcXfer {
-			return msgs
+			return dst
 		}
 		if !g.quorumOKLocked(func(id int) bool { return id == g.cfg.ID || rc.acks[id] }) {
-			return msgs
+			return dst
 		}
 		if rc.phase == rcJoint {
 			g.installConfLocked(confState{
@@ -1381,12 +1410,12 @@ func (g *Group) advanceReconfigLocked(now time.Time) []*proto.Message {
 			rc.phase = rcFinal
 			rc.acks = make(map[int]bool)
 			rc.lastSend = now
-			msgs = append(msgs, g.confBroadcastLocked()...)
+			dst = g.confBroadcastLocked(dst)
 			continue
 		}
 		g.rc = nil // final config adopted by its quorum: change complete
 	}
-	return msgs
+	return dst
 }
 
 // confRecordLocked frames the config this node currently holds, for a
@@ -1442,15 +1471,14 @@ func (g *Group) confAckLocked(to int, echoTerm int64) *proto.Message {
 
 // confBroadcastLocked re-proposes the current config to every peer that
 // has not acked the in-flight phase yet.
-func (g *Group) confBroadcastLocked() []*proto.Message {
-	var msgs []*proto.Message
+func (g *Group) confBroadcastLocked(dst []*proto.Message) []*proto.Message {
 	for _, p := range g.peers {
 		if g.rc != nil && g.rc.acks[p] {
 			continue
 		}
-		msgs = append(msgs, g.confRecordLocked(p))
+		dst = append(dst, g.confRecordLocked(p))
 	}
-	return msgs
+	return dst
 }
 
 // DeadMembers reports current voting members (self excluded) that have

@@ -1,10 +1,13 @@
 package replica
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"dup/internal/proto"
+	"dup/internal/raceflag"
 	"dup/internal/store"
 )
 
@@ -34,7 +37,7 @@ func (c *cluster) pump(msgs []*proto.Message, now time.Time) {
 		var next []*proto.Message
 		for _, m := range msgs {
 			if g, ok := c.groups[m.To]; ok {
-				next = append(next, g.Step(m, now)...)
+				next = g.AppendStep(next, m, now)
 			}
 			proto.Release(m)
 		}
@@ -57,11 +60,11 @@ func TestBootLeaderAcquiresLeaseThenReplicates(t *testing.T) {
 	if g.MayServe(now) {
 		t.Fatal("leader serving before any lease ack")
 	}
-	c.pump(g.Tick(now), now) // lease round trip
+	c.pump(g.AppendTick(nil, now), now) // lease round trip
 	if !g.MayServe(now) {
 		t.Fatal("leader has no lease after a quorum acked the renewal")
 	}
-	v, out, ok := g.Bump(0, 1, 2000.5, now)
+	v, out, ok := g.AppendBump(nil, 0, 1, 2000.5, now)
 	if !ok || v != 1 {
 		t.Fatalf("Bump = (%d, ok=%v), want (1, true)", v, ok)
 	}
@@ -76,7 +79,7 @@ func TestBootLeaderAcquiresLeaseThenReplicates(t *testing.T) {
 		}
 	}
 	// The commit watermark follows on the next tick.
-	c.pump(g.Tick(now.Add(400*time.Millisecond)), now)
+	c.pump(g.AppendTick(nil, now.Add(400*time.Millisecond)), now)
 	if got := c.groups[1].Committed(0); got != 1 {
 		t.Fatalf("replica 1 committed %d, want 1", got)
 	}
@@ -87,18 +90,18 @@ func TestReserveStallsExposureWithoutQuorum(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 2)
 	g := c.groups[0]
 	g.BootLeader()
-	c.pump(g.Tick(now), now)
+	c.pump(g.AppendTick(nil, now), now)
 	// Partition the followers: accepts never arrive. The reserve (B=2)
 	// lets two versions out, then the stream stalls.
 	var pending []*proto.Message
 	for want := int64(1); want <= 2; want++ {
-		v, out, ok := g.Bump(0, want, 2000.5, now)
+		v, out, ok := g.AppendBump(nil, 0, want, 2000.5, now)
 		pending = append(pending, out...)
 		if !ok || v != want {
 			t.Fatalf("Bump(%d) = (%d, ok=%v) inside the reserve", want, v, ok)
 		}
 	}
-	if v, out, ok := g.Bump(0, 3, 2000.5, now); ok {
+	if v, out, ok := g.AppendBump(nil, 0, 3, 2000.5, now); ok {
 		drop(out)
 		t.Fatalf("Bump(3) exposed %d with the reserve exhausted", v)
 	} else {
@@ -106,8 +109,8 @@ func TestReserveStallsExposureWithoutQuorum(t *testing.T) {
 	}
 	// Heal: deliver everything; the acks reopen the window.
 	c.pump(pending, now)
-	c.pump(g.Tick(now.Add(400*time.Millisecond)), now)
-	if v, out, ok := g.Bump(0, 3, 2000.5, now); !ok || v != 3 {
+	c.pump(g.AppendTick(nil, now.Add(400*time.Millisecond)), now)
+	if v, out, ok := g.AppendBump(nil, 0, 3, 2000.5, now); !ok || v != 3 {
 		t.Fatalf("Bump(3) after heal = (%d, ok=%v), want (3, true)", v, ok)
 	} else {
 		c.pump(out, now)
@@ -119,12 +122,12 @@ func TestFailoverNeverRegresses(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 4)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 	// Expose a stream, replicating only sometimes: the last exposures ride
 	// the reserve with no quorum behind them.
 	var exposed int64
 	for want := int64(1); want <= 10; want++ {
-		v, out, ok := g0.Bump(0, want, 2000.5, now)
+		v, out, ok := g0.AppendBump(nil, 0, want, 2000.5, now)
 		if want <= 6 {
 			c.pump(out, now)
 		} else {
@@ -139,7 +142,7 @@ func TestFailoverNeverRegresses(t *testing.T) {
 	}
 	// Leader dies; replica 1 runs the promise round and takes over.
 	g1 := c.groups[1]
-	msgs := g1.StartCandidate(now)
+	msgs := g1.AppendStartCandidate(nil, now)
 	var kept []*proto.Message
 	for _, m := range msgs {
 		if m.To == 0 {
@@ -155,10 +158,10 @@ func TestFailoverNeverRegresses(t *testing.T) {
 	// First bump appends the floor entry and replicates it before
 	// exposing; the retry exposes a version strictly above everything the
 	// old leader ever served.
-	v, out, ok := g1.Bump(0, 1, 3000.5, now)
+	v, out, ok := g1.AppendBump(nil, 0, 1, 3000.5, now)
 	c.pump(out, now)
 	if !ok {
-		v, out, ok = g1.Bump(0, 1, 3000.5, now)
+		v, out, ok = g1.AppendBump(nil, 0, 1, 3000.5, now)
 		c.pump(out, now)
 	}
 	if !ok {
@@ -174,22 +177,22 @@ func TestSupersededLeaderStopsServing(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
-	if v, out, ok := g0.Bump(0, 1, 2000.5, now); !ok || v != 1 {
+	c.pump(g0.AppendTick(nil, now), now)
+	if v, out, ok := g0.AppendBump(nil, 0, 1, 2000.5, now); !ok || v != 1 {
 		t.Fatalf("Bump = (%d, %v)", v, ok)
 	} else {
 		c.pump(out, now)
 	}
 	// A higher-term candidate appears; the moment the old leader hears
 	// the new term it goes silent for good.
-	c.pump(c.groups[1].StartCandidate(now), now)
+	c.pump(c.groups[1].AppendStartCandidate(nil, now), now)
 	if !c.groups[1].Leading() {
 		t.Fatal("higher-term candidate not promoted")
 	}
 	if g0.MayServe(now) {
 		t.Fatal("superseded leader still holds a lease")
 	}
-	if _, out, ok := g0.Bump(0, 2, 2000.5, now); ok {
+	if _, out, ok := g0.AppendBump(nil, 0, 2, 2000.5, now); ok {
 		t.Fatal("superseded leader exposed a version")
 	} else {
 		drop(out)
@@ -201,18 +204,18 @@ func TestLeaseExpiresWithoutRenewalQuorum(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g := c.groups[0]
 	g.BootLeader()
-	c.pump(g.Tick(now), now)
+	c.pump(g.AppendTick(nil, now), now)
 	if !g.MayServe(now) {
 		t.Fatal("no lease after boot round")
 	}
 	// Renewals stop reaching the quorum; the lease runs out.
 	later := now.Add(2 * time.Second)
-	drop(g.Tick(later))
+	drop(g.AppendTick(nil, later))
 	if g.MayServe(later) {
 		t.Fatal("leader serving past an unrenewed lease")
 	}
 	// The quorum comes back; the next renewal restores service.
-	c.pump(g.Tick(later.Add(time.Second)), later.Add(time.Second))
+	c.pump(g.AppendTick(nil, later.Add(time.Second)), later.Add(time.Second))
 	if !g.MayServe(later.Add(time.Second)) {
 		t.Fatal("lease not restored after renewal quorum")
 	}
@@ -223,10 +226,10 @@ func TestNonMemberLeadsFromOutside(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 2)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 	var v int64
 	for want := int64(1); want <= 5; want++ {
-		got, out, ok := g0.Bump(0, want, 2000.5, now)
+		got, out, ok := g0.AppendBump(nil, 0, want, 2000.5, now)
 		c.pump(out, now)
 		if !ok || got != want {
 			t.Fatalf("Bump(%d) = (%d, %v)", want, got, ok)
@@ -251,19 +254,19 @@ func TestNonMemberLeadsFromOutside(t *testing.T) {
 		}
 		c.pump(kept, at)
 	}
-	deliver(g9.StartCandidate(now), now)
+	deliver(g9.AppendStartCandidate(nil, now), now)
 	if g9.Leading() {
 		t.Fatal("stale-term candidate promoted over a live lease")
 	}
 	retry := now.Add(500 * time.Millisecond) // past lease/4 + the id-9 retry stagger
-	deliver(g9.Tick(retry), retry)
+	deliver(g9.AppendTick(nil, retry), retry)
 	if !g9.Leading() {
 		t.Fatal("non-member candidate not promoted by member quorum")
 	}
-	nv, out, ok := g9.Bump(0, 1, 3000.5, now)
+	nv, out, ok := g9.AppendBump(nil, 0, 1, 3000.5, now)
 	c.pump(out, now)
 	if !ok {
-		nv, out, ok = g9.Bump(0, 1, 3000.5, now)
+		nv, out, ok = g9.AppendBump(nil, 0, 1, 3000.5, now)
 		c.pump(out, now)
 	}
 	if !ok || nv <= v {
@@ -282,8 +285,8 @@ func TestDuelingMemberCandidatesConverge(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 2)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
-	if _, out, ok := g0.Bump(0, 1, 2000.5, now); !ok {
+	c.pump(g0.AppendTick(nil, now), now)
+	if _, out, ok := g0.AppendBump(nil, 0, 1, 2000.5, now); !ok {
 		t.Fatal("incumbent could not expose")
 	} else {
 		c.pump(out, now)
@@ -291,14 +294,14 @@ func TestDuelingMemberCandidatesConverge(t *testing.T) {
 	// Leaseholder dies; its messages stop. Both survivors promote at once.
 	delete(c.groups, 0)
 	g1, g2 := c.groups[1], c.groups[2]
-	c.pump(g1.StartCandidate(now), now)
-	c.pump(g2.StartCandidate(now), now)
+	c.pump(g1.AppendStartCandidate(nil, now), now)
+	c.pump(g2.AppendStartCandidate(nil, now), now)
 	// Drive both tickers in lockstep — the adversarial schedule.
 	at := now
 	for i := 0; i < 40 && !g1.Leading() && !g2.Leading(); i++ {
 		at = at.Add(50 * time.Millisecond)
-		c.pump(g1.Tick(at), at)
-		c.pump(g2.Tick(at), at)
+		c.pump(g1.AppendTick(nil, at), at)
+		c.pump(g2.AppendTick(nil, at), at)
 	}
 	if g1.Leading() == g2.Leading() {
 		t.Fatalf("dueling candidates did not converge on one leader: g1=%v g2=%v",
@@ -310,10 +313,10 @@ func TestDuelingMemberCandidatesConverge(t *testing.T) {
 	}
 	// The winner's floor must clear the dead incumbent's exposures, and
 	// the hot path must work: retry once if the floor round needs a pump.
-	v, out, ok := winner.Bump(0, 1, 3000.5, at)
+	v, out, ok := winner.AppendBump(nil, 0, 1, 3000.5, at)
 	c.pump(out, at)
 	if !ok {
-		v, out, ok = winner.Bump(0, 1, 3000.5, at)
+		v, out, ok = winner.AppendBump(nil, 0, 1, 3000.5, at)
 		c.pump(out, at)
 	}
 	if !ok || v <= 1 {
@@ -351,16 +354,16 @@ func TestPromiseSnapshotChunksLargeLogs(t *testing.T) {
 	}
 	c.groups[1].Restore(states)
 	g2 := c.groups[2]
-	c.pump(g2.StartCandidate(now), now)
+	c.pump(g2.AppendStartCandidate(nil, now), now)
 	if !g2.Leading() {
 		t.Fatal("candidate did not assemble the chunked snapshot")
 	}
 	// The floor over the widest key must reflect the chunked promise.
 	wideKey := maxPromisePairs + 9
-	v, out, ok := g2.Bump(wideKey, 1, 3000.5, now)
+	v, out, ok := g2.AppendBump(nil, wideKey, 1, 3000.5, now)
 	c.pump(out, now)
 	if !ok {
-		v, out, ok = g2.Bump(wideKey, 1, 3000.5, now)
+		v, out, ok = g2.AppendBump(nil, wideKey, 1, 3000.5, now)
 		c.pump(out, now)
 	}
 	if !ok || v <= int64(wideKey+1) {
@@ -376,7 +379,7 @@ func (c *cluster) deliverTo(msgs []*proto.Message, allow map[int]bool, now time.
 		var next []*proto.Message
 		for _, m := range msgs {
 			if g, ok := c.groups[m.To]; ok && allow[m.To] {
-				next = append(next, g.Step(m, now)...)
+				next = g.AppendStep(next, m, now)
 			}
 			proto.Release(m)
 		}
@@ -396,10 +399,10 @@ func TestProposeReplaceReplacesDeadMember(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 2)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 	var exposed int64
 	for want := int64(1); want <= 5; want++ {
-		v, out, ok := g0.Bump(0, want, 2000.5, now)
+		v, out, ok := g0.AppendBump(nil, 0, want, 2000.5, now)
 		c.pump(out, now)
 		if !ok || v != want {
 			t.Fatalf("Bump(%d) = (%d, %v)", want, v, ok)
@@ -413,12 +416,12 @@ func TestProposeReplaceReplacesDeadMember(t *testing.T) {
 		ID: 3, Members: []int{0, 1, 2}, Lease: time.Second, Reserve: 2, Journal: c.mems[3],
 	})
 	alive := map[int]bool{0: true, 1: true, 3: true}
-	msgs, ok := g0.ProposeReplace(2, 3, now)
+	msgs, ok := g0.AppendProposeReplace(nil, 2, 3, now)
 	if !ok {
 		t.Fatal("ProposeReplace refused with a clean stable config")
 	}
 	// Only one change may be in flight at a time.
-	if more, ok2 := g0.ProposeReplace(1, 4, now); ok2 {
+	if more, ok2 := g0.AppendProposeReplace(nil, 1, 4, now); ok2 {
 		drop(more)
 		t.Fatal("second ProposeReplace accepted while one was in flight")
 	}
@@ -450,18 +453,18 @@ func TestProposeReplaceReplacesDeadMember(t *testing.T) {
 	survivors := map[int]bool{1: true, 3: true}
 	g3 := c.groups[3]
 	at := now
-	c.deliverTo(g3.StartCandidate(at), survivors, at)
+	c.deliverTo(g3.AppendStartCandidate(nil, at), survivors, at)
 	for i := 0; i < 40 && !g3.Leading(); i++ {
 		at = at.Add(250 * time.Millisecond)
-		c.deliverTo(g3.Tick(at), survivors, at)
+		c.deliverTo(g3.AppendTick(nil, at), survivors, at)
 	}
 	if !g3.Leading() {
 		t.Fatal("replacement never won the fail-over round")
 	}
-	v, out, ok := g3.Bump(0, 1, 3000.5, at)
+	v, out, ok := g3.AppendBump(nil, 0, 1, 3000.5, at)
 	c.deliverTo(out, survivors, at)
 	if !ok {
-		v, out, ok = g3.Bump(0, 1, 3000.5, at)
+		v, out, ok = g3.AppendBump(nil, 0, 1, 3000.5, at)
 		c.deliverTo(out, survivors, at)
 	}
 	if !ok || v <= exposed {
@@ -480,10 +483,10 @@ func TestJointPhaseRequiresBothQuorums(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g0 := c.groups[0]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 	c.mems[3] = store.NewMem()
 	c.groups[3] = New(Config{ID: 3, Members: []int{0, 1, 2}, Lease: time.Second, Journal: c.mems[3]})
-	msgs, ok := g0.ProposeReplace(2, 3, now)
+	msgs, ok := g0.AppendProposeReplace(nil, 2, 3, now)
 	if !ok {
 		t.Fatal("ProposeReplace refused")
 	}
@@ -498,7 +501,7 @@ func TestJointPhaseRequiresBothQuorums(t *testing.T) {
 	// The boot lease runs out; the renewal reaches only the new member.
 	// Self + 3 is a majority of {0,1,3} — and must not be enough.
 	later := now.Add(2 * time.Second)
-	c.deliverTo(g0.Tick(later), map[int]bool{0: true, 3: true}, later)
+	c.deliverTo(g0.AppendTick(nil, later), map[int]bool{0: true, 3: true}, later)
 	if g0.MayServe(later) {
 		t.Fatal("lease renewed by a new-set-only quorum during the joint phase")
 	}
@@ -511,12 +514,12 @@ func TestJointPhaseRequiresBothQuorums(t *testing.T) {
 	// so the renewal lands on the following round.)
 	even := later.Add(time.Second)
 	alive := map[int]bool{0: true, 1: true, 3: true}
-	c.deliverTo(g0.Tick(even), alive, even)
+	c.deliverTo(g0.AppendTick(nil, even), alive, even)
 	if g0.ReconfigInFlight() || g0.Epoch() != 2 {
 		t.Fatalf("change did not commit: epoch %d, in flight %v", g0.Epoch(), g0.ReconfigInFlight())
 	}
 	final := even.Add(time.Second)
-	c.deliverTo(g0.Tick(final), alive, final)
+	c.deliverTo(g0.AppendTick(nil, final), alive, final)
 	if !g0.MayServe(final) {
 		t.Fatal("lease not renewed once the old set's majority answered")
 	}
@@ -540,15 +543,15 @@ func TestRebootMidReconfigurationResumesJointPhase(t *testing.T) {
 	g0 := New(Config{ID: 0, Members: []int{0, 1, 2}, Lease: time.Second, Journal: st})
 	c.groups[0] = g0
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
-	if v, out, ok := g0.Bump(0, 1, 2000.5, now); !ok || v != 1 {
+	c.pump(g0.AppendTick(nil, now), now)
+	if v, out, ok := g0.AppendBump(nil, 0, 1, 2000.5, now); !ok || v != 1 {
 		t.Fatalf("Bump = (%d, %v)", v, ok)
 	} else {
 		c.pump(out, now)
 	}
 	c.mems[3] = store.NewMem()
 	c.groups[3] = New(Config{ID: 3, Members: []int{0, 1, 2}, Lease: time.Second, Journal: c.mems[3]})
-	msgs, ok := g0.ProposeReplace(2, 3, now)
+	msgs, ok := g0.AppendProposeReplace(nil, 2, 3, now)
 	if !ok {
 		t.Fatal("ProposeReplace refused")
 	}
@@ -584,10 +587,10 @@ func TestRebootMidReconfigurationResumesJointPhase(t *testing.T) {
 	// completion against the survivors 1 and 3.
 	alive := map[int]bool{0: true, 1: true, 3: true}
 	at := now.Add(2 * time.Second)
-	c.deliverTo(g0b.StartCandidate(at), alive, at)
+	c.deliverTo(g0b.AppendStartCandidate(nil, at), alive, at)
 	for i := 0; i < 40 && (!g0b.Leading() || g0b.ReconfigInFlight()); i++ {
 		at = at.Add(250 * time.Millisecond)
-		c.deliverTo(g0b.Tick(at), alive, at)
+		c.deliverTo(g0b.AppendTick(nil, at), alive, at)
 	}
 	if !g0b.Leading() {
 		t.Fatal("rebooted proposer never re-won leadership")
@@ -613,19 +616,19 @@ func TestProposeReplaceRefusesBadArguments(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g0 := c.groups[0]
-	if msgs, ok := g0.ProposeReplace(2, 3, now); ok {
+	if msgs, ok := g0.AppendProposeReplace(nil, 2, 3, now); ok {
 		drop(msgs)
 		t.Fatal("follower accepted a ProposeReplace")
 	}
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 	for _, bad := range []struct{ dead, repl int }{
 		{7, 3}, // dead is not a member
 		{2, 1}, // replacement already a member
 		{2, 2}, // replacement is the dead member
 		{2, 0}, // replacement is the proposer
 	} {
-		if msgs, ok := g0.ProposeReplace(bad.dead, bad.repl, now); ok {
+		if msgs, ok := g0.AppendProposeReplace(nil, bad.dead, bad.repl, now); ok {
 			drop(msgs)
 			t.Fatalf("ProposeReplace(%d, %d) accepted", bad.dead, bad.repl)
 		}
@@ -638,13 +641,13 @@ func TestMessageLeakFree(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g := c.groups[0]
 	g.BootLeader()
-	c.pump(g.Tick(now), now)
+	c.pump(g.AppendTick(nil, now), now)
 	for want := int64(1); want <= 5; want++ {
-		_, out, _ := g.Bump(0, want, 2000.5, now)
+		_, out, _ := g.AppendBump(nil, 0, want, 2000.5, now)
 		c.pump(out, now)
 	}
-	c.pump(c.groups[1].StartCandidate(now), now)
-	c.pump(c.groups[1].Tick(now.Add(time.Second)), now)
+	c.pump(c.groups[1].AppendStartCandidate(nil, now), now)
+	c.pump(c.groups[1].AppendTick(nil, now.Add(time.Second)), now)
 	if got := proto.InUse(); got != base {
 		t.Fatalf("pooled messages leaked: in use %d, baseline %d", got, base)
 	}
@@ -662,14 +665,14 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
 	g0, g1, g2 := c.groups[0], c.groups[1], c.groups[2]
 	g0.BootLeader()
-	c.pump(g0.Tick(now), now)
+	c.pump(g0.AppendTick(nil, now), now)
 
 	// Leaseholder 0 starts replacing 2 with 3; only the learner hears
 	// it, so the change parks in the joint phase {0,1,2}∧{0,1,3} at
 	// epoch 1 with the new set's majority already in hand.
 	c.mems[3] = store.NewMem()
 	c.groups[3] = New(Config{ID: 3, Members: []int{0, 1, 2}, Lease: time.Second, Journal: c.mems[3]})
-	msgs, ok := g0.ProposeReplace(2, 3, now)
+	msgs, ok := g0.AppendProposeReplace(nil, 2, 3, now)
 	if !ok {
 		t.Fatal("ProposeReplace refused")
 	}
@@ -689,7 +692,7 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	forged.Epoch = 1
 	forged.Subject = subConfAck
 	forged.Version = 99 // echoes a proposal this leader never made
-	drop(g0.Step(forged, now))
+	drop(g0.AppendStep(nil, forged, now))
 	proto.Release(forged)
 	if !g0.ReconfigInFlight() || g0.Epoch() != 1 {
 		t.Fatal("leader advanced its change on an ack for a rival proposal")
@@ -699,7 +702,7 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	// shared old-set member 2, as a partitioned leader would keep
 	// resending it long after being deposed.
 	var stale []*proto.Message
-	for _, m := range g0.Tick(now.Add(400 * time.Millisecond)) {
+	for _, m := range g0.AppendTick(nil, now.Add(400*time.Millisecond)) {
 		if m.Kind == proto.KindReconfig && m.To == 2 {
 			stale = append(stale, m)
 		} else {
@@ -713,13 +716,13 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	// Members 1 and 2 elect a new leader past the old lease, and it
 	// drives a rival same-epoch replacement: 0 out, 4 in.
 	at := now.Add(2 * time.Second)
-	c.deliverTo(g1.StartCandidate(at), map[int]bool{1: true, 2: true}, at)
+	c.deliverTo(g1.AppendStartCandidate(nil, at), map[int]bool{1: true, 2: true}, at)
 	if !g1.Leading() {
 		t.Fatal("rival candidate did not win its round")
 	}
 	c.mems[4] = store.NewMem()
 	c.groups[4] = New(Config{ID: 4, Members: []int{0, 1, 2}, Lease: time.Second, Journal: c.mems[4]})
-	rival, ok := g1.ProposeReplace(0, 4, at)
+	rival, ok := g1.AppendProposeReplace(nil, 0, 4, at)
 	if !ok {
 		t.Fatal("new leader's ProposeReplace refused")
 	}
@@ -737,7 +740,7 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	// must teach the stale proposer the committed config and depose it.
 	var answers []*proto.Message
 	for _, m := range stale {
-		answers = append(answers, g2.Step(m, at)...)
+		answers = g2.AppendStep(answers, m, at)
 		proto.Release(m)
 	}
 	if got := g2.Members(); !sameMembers(got, []int{1, 2, 4}) {
@@ -767,7 +770,7 @@ func TestRivalSameEpochConfigsCannotDiverge(t *testing.T) {
 	conflict.Epoch = 2
 	conflict.Subject = subConfFinal
 	conflict.Path = append(conflict.Path, 0, 1, 3)
-	if out := g2.Step(conflict, at); len(out) != 0 {
+	if out := g2.AppendStep(nil, conflict, at); len(out) != 0 {
 		drop(out)
 		t.Fatal("same-term conflicting config was answered")
 	}
@@ -802,7 +805,7 @@ func TestMalformedConfigProposalsRefused(t *testing.T) {
 		mk(subConfJoint, 3, []int{0, 1, 2}), // empty new set
 		mk(subConfFinal, 0, nil),            // empty stable set
 	} {
-		if out := g1.Step(bad, now); len(out) != 0 {
+		if out := g1.AppendStep(nil, bad, now); len(out) != 0 {
 			drop(out)
 			t.Fatalf("malformed proposal (subject %d, split %d, path %v) was answered",
 				bad.Subject, bad.New, bad.Path)
@@ -817,7 +820,7 @@ func TestMalformedConfigProposalsRefused(t *testing.T) {
 	}
 	// Sanity: a well-formed proposal at the same epoch still adopts.
 	good := mk(subConfFinal, 0, []int{1, 2, 3})
-	out := g1.Step(good, now)
+	out := g1.AppendStep(nil, good, now)
 	proto.Release(good)
 	if len(out) != 1 || out[0].Subject != subConfAck {
 		drop(out)
@@ -843,7 +846,7 @@ func TestStaleTermStateTransferRefused(t *testing.T) {
 	prep.To = 1
 	prep.Origin = 9
 	prep.Term = 5
-	drop(g1.Step(prep, now))
+	drop(g1.AppendStep(nil, prep, now))
 	proto.Release(prep)
 	if g1.Term() != 5 {
 		t.Fatalf("term = %d, want 5", g1.Term())
@@ -862,7 +865,7 @@ func TestStaleTermStateTransferRefused(t *testing.T) {
 	}
 	// Term 3 < 5: the begin frame must install nothing and go unacked.
 	stale := mkBegin(3)
-	if out := g1.Step(stale, now); len(out) != 0 {
+	if out := g1.AppendStep(nil, stale, now); len(out) != 0 {
 		drop(out)
 		t.Fatal("stale-term transfer begin was answered")
 	}
@@ -876,7 +879,7 @@ func TestStaleTermStateTransferRefused(t *testing.T) {
 	// The same frame at the current term installs and acks (the empty
 	// snapshot has zero chunks, so the begin alone completes it).
 	fresh := mkBegin(5)
-	out := g1.Step(fresh, now)
+	out := g1.AppendStep(nil, fresh, now)
 	proto.Release(fresh)
 	if len(out) != 1 || out[0].Subject != subXferAck {
 		drop(out)
@@ -910,11 +913,123 @@ func TestDeadMembersIsReadOnly(t *testing.T) {
 	// The first Tick seeds the clock; peers silent past the horizon from
 	// that point on are reported.
 	tickAt := now.Add(4 * horizon)
-	drop(g.Tick(tickAt))
+	drop(g.AppendTick(nil, tickAt))
 	if d := g.DeadMembers(tickAt.Add(horizon/2), horizon); d != nil {
 		t.Fatalf("dead members inside the horizon: %v", d)
 	}
 	if d := g.DeadMembers(tickAt.Add(horizon), horizon); len(d) != 2 {
 		t.Fatalf("dead members past the horizon = %v, want both peers", d)
+	}
+}
+
+// TestSteadyStateRoundAllocs pins one steady-state replication round on
+// three members over store.Mem — leader Bump, follower Step(Accept),
+// leader Step(Promise), leader Tick with its commit frames delivered —
+// at zero allocations when the caller reuses its frame slices.
+func TestSteadyStateRoundAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	now := time.Unix(1000, 0)
+	c := newCluster(t, []int{0, 1, 2}, []int{0, 1, 2}, 0)
+	g := c.groups[0]
+	g.BootLeader()
+	c.pump(g.AppendTick(nil, now), now)
+	var frames, acks []*proto.Message
+	var want int64
+	round := func() {
+		want++
+		var v int64
+		var ok bool
+		v, frames, ok = g.AppendBump(frames[:0], 0, want, 2000.5, now)
+		if !ok || v != want || len(frames) != 2 {
+			t.Fatalf("Bump(%d) = %d, %d accepts, %v; want the version and 2 accepts", want, v, len(frames), ok)
+		}
+		for _, m := range frames {
+			acks = c.groups[m.To].AppendStep(acks[:0], m, now)
+			proto.Release(m)
+			for _, a := range acks {
+				if extra := g.AppendStep(nil, a, now); len(extra) != 0 {
+					t.Fatalf("leader answered an accept ack with %d frames", len(extra))
+				}
+				proto.Release(a)
+			}
+		}
+		frames = g.AppendTick(frames[:0], now) // the commit frames
+		for _, m := range frames {
+			acks = c.groups[m.To].AppendStep(acks[:0], m, now)
+			proto.Release(m)
+		}
+		if len(frames) != 2 || len(acks) != 0 || g.Committed(0) != want {
+			t.Fatalf("Tick sent %d commits, %d answers; committed %d; want 2, none and %d",
+				len(frames), len(acks), g.Committed(0), want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a steady-state round allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// quorumFloorBySort is the reference for setAcceptedLocked: sort one
+// set's accepted versions in descending order and take the
+// majority-th.
+func quorumFloorBySort(g *Group, set []int, key int) int64 {
+	if len(set) == 0 {
+		return 0
+	}
+	vals := make([]int64, 0, len(set))
+	for _, id := range set {
+		if id == g.cfg.ID {
+			vals = append(vals, g.log[key].version)
+		} else {
+			vals = append(vals, g.acked[id][key])
+		}
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
+	return vals[majority(len(set))-1]
+}
+
+// TestQuorumFloorMatchesSortReference checks the counting quorum floor
+// against the sort-based reference on random member sets of 1–7, random
+// acked versions (ties included) and stable and joint configs, with the
+// leader inside and outside the sets.
+func TestQuorumFloorMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randSet := func() []int {
+		set := rng.Perm(10)[:1+rng.Intn(7)]
+		sort.Ints(set)
+		return set
+	}
+	const key = 3
+	for trial := 0; trial < 5000; trial++ {
+		cur := randSet()
+		g := New(Config{ID: rng.Intn(10), Members: cur})
+		g.BootLeader()
+		if rng.Intn(2) == 0 {
+			g.installConfLocked(confState{epoch: 1, old: randSet(), cur: cur}, false)
+		}
+		top := int64(1 + rng.Intn(6)) // small ranges force ties
+		if rng.Intn(4) == 0 {
+			top = 1 << 40
+		}
+		for _, id := range append(g.conf.union(), g.cfg.ID) {
+			v := rng.Int63n(top)
+			if id == g.cfg.ID {
+				g.log[key] = entry{version: v}
+				continue
+			}
+			if g.acked[id] == nil {
+				g.acked[id] = make(map[int]int64)
+			}
+			g.acked[id][key] = v
+		}
+		want := quorumFloorBySort(g, g.conf.cur, key)
+		if g.conf.joint() {
+			want = min(want, quorumFloorBySort(g, g.conf.old, key))
+		}
+		if got := g.quorumAcceptedLocked(key); got != want {
+			t.Fatalf("trial %d: self %d, old %v, cur %v: quorum floor %d, reference %d",
+				trial, g.cfg.ID, g.conf.old, g.conf.cur, got, want)
+		}
 	}
 }

@@ -21,12 +21,14 @@ func NewMem() *Mem {
 	}
 }
 
-// Record keeps the latest state per (node, key).
+// Record keeps the latest state per (node, key), copying the subscriber
+// list into the entry's own buffer (readers copy it out again).
 func (m *Mem) Record(ns NodeState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ns.Subscribers = append([]int(nil), ns.Subscribers...)
-	m.nodes[nodeKey{ns.ID, ns.Key}] = ns
+	nk := nodeKey{ns.ID, ns.Key}
+	ns.Subscribers = append(m.nodes[nk].Subscribers[:0], ns.Subscribers...)
+	m.nodes[nk] = ns
 }
 
 // Node returns the recorded key-0 state for id, if any.

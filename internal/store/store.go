@@ -99,6 +99,10 @@ type ReplicaState struct {
 // file-backed Store and the in-memory Mem both implement it; the live
 // layer records through this interface so tests and the chaos harness can
 // capture state without touching disk.
+//
+// The caller reuses ns.Subscribers for its next record, so an
+// implementation must copy anything it keeps from it before Record
+// returns.
 type Journal interface {
 	Record(ns NodeState)
 }
@@ -106,6 +110,9 @@ type Journal interface {
 // ReplicaJournal receives replica log records. Store and Mem both
 // implement it; the replica layer type-asserts its journal to this
 // interface, so any plain Journal still works for non-replicated clusters.
+// As with Journal, an implementation copies whatever it keeps from a
+// record's slices; Store and Mem, which implement both, copy
+// NodeState.Subscribers because the live layer reuses it.
 type ReplicaJournal interface {
 	RecordReplica(rs ReplicaState)
 }
@@ -305,8 +312,9 @@ func (s *Store) Record(ns NodeState) {
 		return
 	}
 	s.walBytes += int64(len(s.buf))
-	ns.Subscribers = append([]int(nil), ns.Subscribers...)
 	nk := nodeKey{ns.ID, ns.Key}
+	// Readers copy lists out, so the entry's own buffer is refilled.
+	ns.Subscribers = append(s.nodes[nk].Subscribers[:0], ns.Subscribers...)
 	s.nodes[nk] = ns
 	if ns.IsRoot && ns.Version != s.lastRoot[nk] {
 		if err := s.wal.Sync(); err != nil {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dup/internal/raceflag"
 )
 
 func reopen(t *testing.T, dir string) *Store {
@@ -234,6 +236,73 @@ func TestMemJournal(t *testing.T) {
 	again, _ := m.Node(3)
 	if again.Subscribers[0] != 4 {
 		t.Fatal("Node returned aliased subscriber slice")
+	}
+}
+
+// recorder is the part of a journal the Record reuse tests drive, on
+// both the file-backed Store and Mem.
+type recorder interface {
+	Journal
+	Node(id int) (NodeState, bool)
+	States(id int) []NodeState
+}
+
+func recorders(t *testing.T) []struct {
+	name string
+	j    recorder
+} {
+	return []struct {
+		name string
+		j    recorder
+	}{{"Store", reopen(t, t.TempDir())}, {"Mem", NewMem()}}
+}
+
+// TestRecordRepeatAllocs pins a repeat Record of a same-length
+// subscriber list at zero allocations: the list is copied into the
+// entry's existing buffer.
+func TestRecordRepeatAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	for _, r := range recorders(t) {
+		ns := NodeState{ID: 1, Parent: 0, Version: 4, Subscribers: []int{2, 3, 4}}
+		r.j.Record(ns)
+		if allocs := testing.AllocsPerRun(100, func() {
+			ns.Subscribers[0]++
+			r.j.Record(ns)
+		}); allocs != 0 {
+			t.Errorf("%s: repeat Record allocates %.0f objects, want 0", r.name, allocs)
+		}
+		if got, _ := r.j.Node(1); !equalState(got, ns) {
+			t.Errorf("%s: Node(1) = %+v, want %+v", r.name, got, ns)
+		}
+	}
+}
+
+// TestRecordLeavesEarlierReadsAlone checks that refilling an entry's
+// buffer in place never reaches lists handed out before: Node, States
+// and (on Store) Nodes return copies, and Record copies the caller's
+// list rather than keeping it.
+func TestRecordLeavesEarlierReadsAlone(t *testing.T) {
+	for _, r := range recorders(t) {
+		subs := []int{2, 3}
+		r.j.Record(NodeState{ID: 1, Parent: 0, Version: 1, Subscribers: subs})
+		node, _ := r.j.Node(1)
+		reads := map[string][]int{"Node": node.Subscribers, "States": r.j.States(1)[0].Subscribers}
+		if s, ok := r.j.(*Store); ok {
+			reads["Nodes"] = s.Nodes()[1].Subscribers
+		}
+		// The caller reuses its list, and the entry's buffer is refilled.
+		subs[0], subs[1] = 7, 8
+		r.j.Record(NodeState{ID: 1, Parent: 0, Version: 2, Subscribers: []int{5, 6}})
+		for what, got := range reads {
+			if !equalInts(got, []int{2, 3}) {
+				t.Errorf("%s: %s list read before the second Record changed to %v", r.name, what, got)
+			}
+		}
+		if got, _ := r.j.Node(1); !equalInts(got.Subscribers, []int{5, 6}) {
+			t.Errorf("%s: Node(1) list = %v, want [5 6]", r.name, got.Subscribers)
+		}
 	}
 }
 

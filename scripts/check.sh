@@ -27,7 +27,7 @@ echo "== read-path concurrency (inline hits vs. republish, crash, key churn, fai
 go test -race -count=10 -run 'TestConcurrentHotKeyReads' ./internal/live/
 
 echo "== allocation guards (no race: sync.Pool sheds items under -race) =="
-go test -count=1 -run 'Allocs' ./internal/live ./internal/core ./internal/transport ./internal/sim
+go test -count=1 -run 'Alloc' ./internal/live ./internal/core ./internal/transport ./internal/sim ./internal/wire ./internal/replica ./internal/store
 
 echo "== fuzz smoke (wire codec) =="
 go test -run '^$' -fuzz 'FuzzDecodeEncode' -fuzztime 5s ./internal/wire/
