@@ -12,10 +12,11 @@
 // between.
 //
 // The state machine is transport-agnostic: handlers mutate local state and
-// return the upstream messages the node must send. Both the discrete-event
-// simulator (dup/internal/sim) and the live goroutine network
-// (dup/internal/live) drive it; they differ only in how those messages are
-// delivered and how interest/failure detection is triggered.
+// append the upstream messages the node must send to a caller-owned slice.
+// Both the discrete-event simulator (dup/internal/sim) and the live
+// goroutine network (dup/internal/live) drive it; they differ only in how
+// those messages are delivered and how interest/failure detection is
+// triggered.
 package core
 
 import (
@@ -68,8 +69,9 @@ func (a Action) String() string {
 	return fmt.Sprintf("%s(%d)", a.Kind, a.Subject)
 }
 
-// State is one node's DUP protocol state. Create it with NewState; the
-// zero value is unusable because the node id 0 would be ambiguous.
+// State is one node's DUP protocol state. Create it with NewState or, for
+// a whole tree, NewStates; the zero value is unusable because the node id
+// 0 would be ambiguous.
 type State struct {
 	self int
 	root bool
@@ -80,6 +82,30 @@ type State struct {
 // node, which absorbs subscriptions instead of forwarding them.
 func NewState(self int, isRoot bool) *State {
 	return &State{self: self, root: isRoot}
+}
+
+// NewStates returns the DUP states of nodes 0..n-1, with node root as the
+// authority, in one slice whose subscriber lists share one backing array.
+// Node i's list starts in a window of room(i) entries, cap-clipped so that
+// growing past it reallocates node i's list alone and never writes into
+// node i+1's window. A host that sizes room(i) to the node's downstream
+// branches plus itself keeps every list inside its window. Address the
+// elements in place (&states[i]): a copied State shares its list with the
+// original.
+func NewStates(n, root int, room func(int) int) []State {
+	states := make([]State, n)
+	total := 0
+	for i := range states {
+		total += room(i)
+	}
+	buf := make([]int, total)
+	off := 0
+	for i := range states {
+		end := off + room(i)
+		states[i] = State{self: i, root: i == root, list: buf[off:off:end]}
+		off = end
+	}
+	return states
 }
 
 // Self returns the node id this state belongs to.
@@ -202,43 +228,67 @@ func (s *State) remove(n int) bool {
 	return false
 }
 
-// BecomeInterested implements Figure 3 (A): the node's interest policy has
-// fired and it is not yet in its own subscriber list, so it subscribes
-// itself. The returned actions (if any) go to the node's parent. Calling it
-// while already subscribed is a no-op.
-func (s *State) BecomeInterested() []Action {
-	if s.Interested() {
-		return nil
-	}
-	return s.processSubscribe(s.self)
-}
+// BecomeInterested is AppendBecomeInterested(nil).
+func (s *State) BecomeInterested() []Action { return s.AppendBecomeInterested(nil) }
 
-// HandleSubscribe implements Figure 3 (B): subscribe(nj) arrived from a
-// downstream branch.
-func (s *State) HandleSubscribe(nj int) []Action {
-	return s.processSubscribe(nj)
-}
+// HandleSubscribe is AppendHandleSubscribe(nil, nj).
+func (s *State) HandleSubscribe(nj int) []Action { return s.AppendHandleSubscribe(nil, nj) }
 
-// LoseInterest implements Figure 3 (D): the node's interest policy reports
-// it is no longer interested. Calling it while not subscribed is a no-op.
-func (s *State) LoseInterest() []Action {
-	if !s.Interested() {
-		return nil
-	}
-	return s.processUnsubscribe(s.self)
-}
+// LoseInterest is AppendLoseInterest(nil).
+func (s *State) LoseInterest() []Action { return s.AppendLoseInterest(nil) }
 
-// HandleUnsubscribe implements Figure 3 (E): unsubscribe(nj) arrived from a
-// downstream branch (or was synthesised by failure detection).
-func (s *State) HandleUnsubscribe(nj int) []Action {
-	return s.processUnsubscribe(nj)
-}
+// HandleUnsubscribe is AppendHandleUnsubscribe(nil, nj).
+func (s *State) HandleUnsubscribe(nj int) []Action { return s.AppendHandleUnsubscribe(nil, nj) }
 
-// HandleSubstitute implements Figure 3 (C): replace old with new in the
-// subscriber list; nodes not in the DUP tree forward the message upstream.
+// HandleSubstitute is AppendHandleSubstitute(nil, old, new).
 func (s *State) HandleSubstitute(old, new int) []Action {
+	return s.AppendHandleSubstitute(nil, old, new)
+}
+
+// The Append handlers below append the transition's upstream actions (at
+// most one) to dst and return it, never touching dst[:len(dst)]. A host
+// that passes one scratch slice per call drives the state machine without
+// allocating.
+
+// AppendBecomeInterested implements Figure 3 (A): the node's interest
+// policy has fired and it is not yet in its own subscriber list, so it
+// subscribes itself. The appended actions (if any) go to the node's
+// parent. Calling it while already subscribed is a no-op.
+func (s *State) AppendBecomeInterested(dst []Action) []Action {
+	if s.Interested() {
+		return dst
+	}
+	return s.processSubscribe(dst, s.self)
+}
+
+// AppendHandleSubscribe implements Figure 3 (B): subscribe(nj) arrived
+// from a downstream branch.
+func (s *State) AppendHandleSubscribe(dst []Action, nj int) []Action {
+	return s.processSubscribe(dst, nj)
+}
+
+// AppendLoseInterest implements Figure 3 (D): the node's interest policy
+// reports it is no longer interested. Calling it while not subscribed is a
+// no-op.
+func (s *State) AppendLoseInterest(dst []Action) []Action {
+	if !s.Interested() {
+		return dst
+	}
+	return s.processUnsubscribe(dst, s.self)
+}
+
+// AppendHandleUnsubscribe implements Figure 3 (E): unsubscribe(nj) arrived
+// from a downstream branch (or was synthesised by failure detection).
+func (s *State) AppendHandleUnsubscribe(dst []Action, nj int) []Action {
+	return s.processUnsubscribe(dst, nj)
+}
+
+// AppendHandleSubstitute implements Figure 3 (C): replace old with new in
+// the subscriber list; nodes not in the DUP tree forward the message
+// upstream.
+func (s *State) AppendHandleSubstitute(dst []Action, old, new int) []Action {
 	if old == new {
-		return nil
+		return dst
 	}
 	if !s.remove(old) {
 		// The substitution raced with another membership change (the old
@@ -246,24 +296,24 @@ func (s *State) HandleSubstitute(old, new int) []Action {
 		// fresh subscription for the new entry re-announces the branch
 		// upstream and keeps the new subscriber reachable; a plain
 		// (S − {old}) ∪ {new} would leave it a silent orphan.
-		return s.processSubscribe(new)
+		return s.processSubscribe(dst, new)
 	}
 	s.add(new)
 	if s.root {
-		return nil
+		return dst
 	}
 	if len(s.list) == 1 {
 		// Not a DUP-tree node: pass the substitution along the virtual path.
-		return []Action{{Kind: SendSubstitute, Old: old, New: new}}
+		return append(dst, Action{Kind: SendSubstitute, Old: old, New: new})
 	}
-	return nil
+	return dst
 }
 
 // processSubscribe is Figure 3's process_subscribe(nj, ni) with ni == s.
-func (s *State) processSubscribe(nj int) []Action {
+func (s *State) processSubscribe(dst []Action, nj int) []Action {
 	if s.root {
 		s.add(nj)
-		return nil
+		return dst
 	}
 	var prev int
 	hadOne := len(s.list) == 1
@@ -271,12 +321,12 @@ func (s *State) processSubscribe(nj int) []Action {
 		prev = s.list[0] // "temporarily save the old subscriber id"
 	}
 	if !s.add(nj) {
-		return nil // duplicate subscription (message retry); nothing changed
+		return dst // duplicate subscription (message retry); nothing changed
 	}
 	switch len(s.list) {
 	case 1:
 		// Had no subscriber, now has one: extend the virtual path upstream.
-		return []Action{{Kind: SendSubscribe, Subject: nj}}
+		return append(dst, Action{Kind: SendSubscribe, Subject: nj})
 	case 2:
 		// Had one subscriber, now two: this node becomes a DUP-tree branch
 		// point and replaces its old announcement with itself. When the old
@@ -284,22 +334,22 @@ func (s *State) processSubscribe(nj int) []Action {
 		// downstream subscriber), the substitution would be a no-op and is
 		// suppressed — see DESIGN.md.
 		if prev == s.self {
-			return nil
+			return dst
 		}
-		return []Action{{Kind: SendSubstitute, Old: prev, New: s.self}}
+		return append(dst, Action{Kind: SendSubstitute, Old: prev, New: s.self})
 	default:
 		// Already a DUP-tree node; no upstream change needed.
-		return nil
+		return dst
 	}
 }
 
 // processUnsubscribe is Figure 3's process_unsubscribe(nj, ni) with ni == s.
-func (s *State) processUnsubscribe(nj int) []Action {
+func (s *State) processUnsubscribe(dst []Action, nj int) []Action {
 	if !s.remove(nj) {
-		return nil // duplicate or raced unsubscription; nothing to do
+		return dst // duplicate or raced unsubscription; nothing to do
 	}
 	if s.root {
-		return nil
+		return dst
 	}
 	switch len(s.list) {
 	case 0:
@@ -310,19 +360,19 @@ func (s *State) processUnsubscribe(nj int) []Action {
 		// (the paper's prose agrees: "nodes along the path remove N6 from
 		// their subscriber list"). We therefore forward the subject, not
 		// the forwarder's id. See the erratum note in DESIGN.md.
-		return []Action{{Kind: SendUnsubscribe, Subject: nj}}
+		return append(dst, Action{Kind: SendUnsubscribe, Subject: nj})
 	case 1:
 		// One subscriber left: this node leaves the DUP tree and hands its
 		// position to the remaining subscriber. When the remaining
 		// subscriber is this node itself (it stays a leaf subscriber) the
 		// substitution would be a no-op and is suppressed.
 		if s.list[0] == s.self {
-			return nil
+			return dst
 		}
-		return []Action{{Kind: SendSubstitute, Old: s.self, New: s.list[0]}}
+		return append(dst, Action{Kind: SendSubstitute, Old: s.self, New: s.list[0]})
 	default:
 		// Still a branch point; remains in the DUP tree.
-		return nil
+		return dst
 	}
 }
 

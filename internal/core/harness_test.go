@@ -22,9 +22,10 @@ type net struct {
 
 func newNet(t *testing.T, tree *topology.Tree) *net {
 	n := &net{t: t, tree: tree, interested: map[int]bool{}}
+	block := NewStates(tree.N(), tree.Root(), func(i int) int { return len(tree.Children(i)) + 1 })
 	n.states = make([]*State, tree.N())
-	for i := 0; i < tree.N(); i++ {
-		n.states[i] = NewState(i, tree.IsRoot(i))
+	for i := range block {
+		n.states[i] = &block[i]
 	}
 	return n
 }

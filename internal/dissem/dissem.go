@@ -68,7 +68,7 @@ type topic struct {
 	tree   *topology.Tree
 	ringID []chord.ID       // tree id -> ring id
 	treeID map[chord.ID]int // ring id -> tree id
-	states []*core.State    // per tree id
+	states []core.State     // per tree id, from core.NewStates
 	subbed map[int]bool     // tree ids subscribed
 	seq    int64
 	inbox  map[int][]Event // delivered events per tree id (for tests/demos)
@@ -114,13 +114,12 @@ func (p *Platform) topic(name string) (*topic, error) {
 		tree:   tree,
 		ringID: ringID,
 		treeID: make(map[chord.ID]int, len(ringID)),
-		states: make([]*core.State, tree.N()),
+		states: core.NewStates(tree.N(), 0, func(i int) int { return len(tree.Children(i)) + 1 }),
 		subbed: make(map[int]bool),
 		inbox:  make(map[int][]Event),
 	}
 	for i, id := range ringID {
 		t.treeID[id] = i
-		t.states[i] = core.NewState(i, i == 0)
 	}
 	p.topics[name] = t
 	return t, nil

@@ -316,6 +316,9 @@ type lane struct {
 
 	// targets is pushOut's scratch slice, reused across pushes.
 	targets []int
+	// acts collects one state-machine transition's upstream actions; emit
+	// empties it. send never re-enters core, so one slice per lane serves.
+	acts []core.Action
 	// repOut collects the replica group's outbound frames; sendAll empties
 	// it. It is per lane because data lanes Bump the group concurrently.
 	repOut []*proto.Message
@@ -1148,7 +1151,7 @@ func (l *lane) tick(now time.Time) {
 	for _, sh := range l.shards {
 		if now.Sub(sh.intervalStart) >= cfg.TTL {
 			if count := sh.count.Swap(0); sh.st.Interested() && count <= int64(cfg.Threshold) {
-				l.emit(sh, sh.st.LoseInterest())
+				l.emit(sh, sh.st.AppendLoseInterest(l.acts[:0]))
 			}
 			sh.intervalStart = now
 		}
@@ -1194,7 +1197,7 @@ func (n *node) pickReplacement(g *replica.Group, dead []int) int {
 func (l *lane) unsubscribePeer(id int) {
 	for _, sh := range l.shards {
 		if sh.st.Contains(id) {
-			l.emit(sh, sh.st.HandleUnsubscribe(id))
+			l.emit(sh, sh.st.AppendHandleUnsubscribe(l.acts[:0], id))
 		}
 	}
 }
@@ -1774,13 +1777,13 @@ func (l *lane) handleMsg(m *proto.Message, batched bool) {
 		l.onPush(m)
 	case proto.KindSubscribe:
 		sh := l.shard(m.Key)
-		l.emit(sh, sh.st.HandleSubscribe(m.Subject))
+		l.emit(sh, sh.st.AppendHandleSubscribe(l.acts[:0], m.Subject))
 	case proto.KindUnsubscribe:
 		sh := l.shard(m.Key)
-		l.emit(sh, sh.st.HandleUnsubscribe(m.Subject))
+		l.emit(sh, sh.st.AppendHandleUnsubscribe(l.acts[:0], m.Subject))
 	case proto.KindSubstitute:
 		sh := l.shard(m.Key)
-		l.emit(sh, sh.st.HandleSubstitute(m.Old, m.New))
+		l.emit(sh, sh.st.AppendHandleSubstitute(l.acts[:0], m.Old, m.New))
 	case proto.KindKeepAlive:
 		n.childSeen[m.Origin] = time.Now()
 		l.send(l.newMsg(proto.KindKeepAliveAck, m.Origin))
@@ -1893,9 +1896,9 @@ func (l *lane) onLeave(m *proto.Message) {
 	n := l.n
 	if sh := l.lookup(m.Key); sh != nil && sh.st.Contains(m.Origin) {
 		if m.Subject >= 0 && m.Subject != n.id {
-			l.emit(sh, sh.st.HandleSubstitute(m.Origin, m.Subject))
+			l.emit(sh, sh.st.AppendHandleSubstitute(l.acts[:0], m.Origin, m.Subject))
 		} else {
-			l.emit(sh, sh.st.HandleUnsubscribe(m.Origin))
+			l.emit(sh, sh.st.AppendHandleUnsubscribe(l.acts[:0], m.Origin))
 		}
 	}
 	if m.Key != 0 {
@@ -2031,7 +2034,7 @@ func (l *lane) leaveKey(key int) {
 		return
 	}
 	if sh.st.Interested() {
-		l.emit(sh, sh.st.LoseInterest())
+		l.emit(sh, sh.st.AppendLoseInterest(l.acts[:0]))
 	}
 	parent := l.n.parent()
 	if parent >= 0 && sh.st.OnVirtualPath() {
@@ -2093,7 +2096,7 @@ func (l *lane) leaveAnnounce() {
 	n := l.n
 	for _, sh := range l.shards {
 		if sh.st.Interested() {
-			l.emit(sh, sh.st.LoseInterest())
+			l.emit(sh, sh.st.AppendLoseInterest(l.acts[:0]))
 		}
 	}
 	parent := n.parent()
@@ -2247,7 +2250,7 @@ func (l *lane) adoptLane(states []store.NodeState, asRoot bool) {
 			sh.st.AdoptSubscriber(s)
 		}
 		if interested {
-			l.emit(sh, sh.st.BecomeInterested())
+			l.emit(sh, sh.st.AppendBecomeInterested(l.acts[:0]))
 		} else if sh.st.OnVirtualPath() && parent >= 0 {
 			// Re-announce the virtual path: the parent may have dropped
 			// this branch while the node was down.
@@ -2417,7 +2420,7 @@ func (n *node) hit(key int, now time.Time) (int64, bool) {
 // policy (Figure 3 A).
 func (l *lane) access(sh *shard) {
 	if sh.count.Add(1) > int64(l.n.nw.cfg.Threshold) && !sh.st.Interested() && !l.n.isRoot.Load() {
-		l.emit(sh, sh.st.BecomeInterested())
+		l.emit(sh, sh.st.AppendBecomeInterested(l.acts[:0]))
 	}
 }
 
@@ -2538,11 +2541,13 @@ func (l *lane) storeIn(sh *shard, v, exp int64) {
 	sh.cache.set(v, exp)
 }
 
-// emit sends one shard's state-machine actions to the current parent.
-// Every handler that can put the node into or take it out of its own
-// subscriber list returns its actions through here, so this is also where
-// the shard's interested flag is republished.
+// emit sends one shard's state-machine actions, which the caller appended
+// to l.acts[:0], to the current parent; their backing array becomes the
+// next call's acts. Every handler that can put the node into or take it
+// out of its own subscriber list returns its actions through here, so this
+// is also where the shard's interested flag is republished.
 func (l *lane) emit(sh *shard, acts []core.Action) {
+	l.acts = acts[:0]
 	sh.interested.Store(sh.st.Interested())
 	parent := l.n.parent()
 	for _, a := range acts {

@@ -388,6 +388,57 @@ func TestPushForwardAllocs(t *testing.T) {
 	}
 }
 
+// TestMembershipFluxAllocs pins tree maintenance through a virtual-path
+// node at zero allocations amortised: children subscribe, make node 1 a
+// branch point, substitute and unsubscribe, each message arriving through
+// handleMsg, its upstream action leaving through flush and the parent's
+// ack settling it.
+func TestMembershipFluxAllocs(t *testing.T) {
+	skipAllocsUnderRace(t)
+	n := bareNode(topology.FromParents([]int{-1, 0, 1, 1}), 1, nil)
+	l := n.lanes[0]
+	sh := l.shard(0)
+	inUse := proto.InUse()
+	var seq int64
+	step := func(kind proto.Kind, from, subject, old, new int, emits bool) {
+		seq++
+		m := proto.NewMessage()
+		m.Kind, m.To, m.Origin, m.Seq = kind, 1, from, seq
+		m.Subject, m.Old, m.New = subject, old, new
+		l.handleMsg(m, false)
+		l.flush()
+		if !emits {
+			return
+		}
+		if len(l.unacked) != 1 {
+			t.Fatalf("%v from %d: %d unacked upstream, want 1", kind, from, len(l.unacked))
+		}
+		ack := proto.NewMessage()
+		ack.Kind, ack.To, ack.Origin = proto.KindAck, 1, 0
+		ack.Seq, ack.Subject = l.relSeq, int(kind)
+		l.handleMsg(ack, false)
+	}
+	flux := func() {
+		step(proto.KindSubscribe, 2, 2, 0, 0, true)   // subscribe(2)
+		step(proto.KindSubscribe, 3, 3, 0, 0, true)   // a branch point: substitute(2, 1)
+		step(proto.KindSubstitute, 3, 0, 3, 7, false) // still a branch point
+		step(proto.KindUnsubscribe, 3, 7, 0, 0, true) // leaves the tree: substitute(1, 2)
+		step(proto.KindUnsubscribe, 2, 2, 0, 0, true) // empty: unsubscribe(2)
+	}
+	for i := 0; i < 2*dedupWindow; i++ { // fill the dedup window and the freelists
+		flux()
+	}
+	if allocs := testing.AllocsPerRun(200, flux); allocs != 0 {
+		t.Errorf("membership flux allocates %.0f objects, want 0", allocs)
+	}
+	if sh.st.Len() != 0 || len(l.unacked) != 0 {
+		t.Fatalf("after the flux: list %v, %d unacked; want empty and 0", sh.st.Subscribers(), len(l.unacked))
+	}
+	if got := proto.InUse(); got != inUse {
+		t.Errorf("pooled messages in use moved %d -> %d", inUse, got)
+	}
+}
+
 // TestConcurrentHotKeyReads has eight goroutines query one hot (node, key)
 // — mostly inline hits — while the authority republishes every 60 ms and
 // the test crashes and recovers the node, takes it out of and back into

@@ -71,10 +71,22 @@ func (c *CUP) Name() string {
 
 // Attach implements scheme.Scheme.
 func (c *CUP) Attach(h scheme.Host) {
-	n := h.Tree().N()
+	t := h.Tree()
+	n := t.N()
 	c.h = h
 	c.interested = make([]bool, n)
+	// Node i's registrations start in a cap-clipped window of one entry
+	// per child, carved from one block: a node that gains children
+	// through churn outgrows its window into a private array and never
+	// writes into its neighbour's.
 	c.childOK = make([][]int, n)
+	block := make([]int, n)
+	off := 0
+	for i := range c.childOK {
+		end := off + len(t.Children(i))
+		c.childOK[i] = block[off:off:end]
+		off = end
+	}
 	c.announced = make([]bool, n)
 	c.lastPushed = make([]int64, n)
 	for i := range c.lastPushed {

@@ -20,9 +20,13 @@ import (
 // DUP is the dynamic-tree based update propagation scheme.
 type DUP struct {
 	h          scheme.Host
-	st         []*core.State
-	lastPushed []int64 // highest version each node has forwarded on
-	targets    []int   // scratch push-target buffer, reused across pushes
+	st         []core.State // from core.NewStates; address as &d.st[n]
+	lastPushed []int64      // highest version each node has forwarded on
+
+	// Scratch buffers reused across calls. Send never re-enters the
+	// scheme synchronously, so neither is live when the next handler runs.
+	targets []int         // push targets
+	acts    []core.Action // upstream actions of one transition
 
 	// HopByHopPush disables DUP's direct pushes: updates are routed along
 	// the index search tree through every intermediate node, charging one
@@ -49,21 +53,24 @@ func (d *DUP) Name() string {
 // Attach implements scheme.Scheme.
 func (d *DUP) Attach(h scheme.Host) {
 	d.h = h
-	n := h.Tree().N()
-	d.st = make([]*core.State, n)
+	t := h.Tree()
+	n := t.N()
+	// One list entry per downstream branch plus the node itself.
+	d.st = core.NewStates(n, t.Root(), func(i int) int { return len(t.Children(i)) + 1 })
 	d.lastPushed = make([]int64, n)
-	for i := 0; i < n; i++ {
-		d.st[i] = core.NewState(i, h.Tree().IsRoot(i))
+	for i := range d.lastPushed {
 		d.lastPushed[i] = -1
 	}
 }
 
 // State exposes node n's protocol state for tests and trace tooling.
-func (d *DUP) State(n int) *core.State { return d.st[n] }
+func (d *DUP) State(n int) *core.State { return &d.st[n] }
 
-// emit converts the state machine's upstream actions into messages to node
-// from's parent.
+// emit converts the state machine's upstream actions, which the caller
+// appended to d.acts[:0], into messages to node from's parent, and keeps
+// their backing array as the next call's scratch.
 func (d *DUP) emit(from int, acts []core.Action) {
+	d.acts = acts[:0]
 	if len(acts) == 0 {
 		return
 	}
@@ -92,10 +99,11 @@ func (d *DUP) emit(from int, acts []core.Action) {
 // either sends out subscribe(N6) explicitly or piggybacks subscribe(N6) by
 // setting the interest bit in the request packet it sends out").
 func (d *DUP) OnAccess(n int, miss bool) *proto.Piggyback {
-	if d.st[n].Interested() || d.h.IntervalCount(n) <= d.h.Threshold() {
+	s := &d.st[n]
+	if s.Interested() || d.h.IntervalCount(n) <= d.h.Threshold() {
 		return nil
 	}
-	acts := d.st[n].BecomeInterested()
+	acts := s.AppendBecomeInterested(d.acts[:0])
 	if miss {
 		return d.emitWithPiggy(n, acts)
 	}
@@ -111,34 +119,30 @@ func (d *DUP) OnPiggyback(n int, p *proto.Piggyback) *proto.Piggyback {
 	if p.Kind != proto.KindSubscribe {
 		panic(fmt.Sprintf("dupscheme: unexpected piggyback %v", p.Kind))
 	}
-	return d.emitWithPiggy(n, d.st[n].HandleSubscribe(p.Subject))
+	return d.emitWithPiggy(n, d.st[n].AppendHandleSubscribe(d.acts[:0], p.Subject))
 }
 
 // emitWithPiggy sends acts upstream like emit, except that a subscribe
 // action is returned as a piggyback (to ride the in-flight request) rather
-// than transmitted. The state machine emits at most one subscribe per
-// transition, so a single return value suffices.
+// than transmitted. A transition emits at most one action, so a subscribe
+// is the whole of acts.
 func (d *DUP) emitWithPiggy(n int, acts []core.Action) *proto.Piggyback {
-	var piggy *proto.Piggyback
-	rest := acts[:0:0]
-	for _, a := range acts {
-		if a.Kind == core.SendSubscribe && piggy == nil {
-			piggy = &proto.Piggyback{Kind: proto.KindSubscribe, Subject: a.Subject}
-			continue
-		}
-		rest = append(rest, a)
+	if len(acts) == 1 && acts[0].Kind == core.SendSubscribe {
+		d.acts = acts[:0]
+		return &proto.Piggyback{Kind: proto.KindSubscribe, Subject: acts[0].Subject}
 	}
-	d.emit(n, rest)
-	return piggy
+	d.emit(n, acts)
+	return nil
 }
 
 // OnIntervalEnd implements scheme.Scheme: Figure 3 (D) — nodes whose query
 // count over the finished interval fell to the threshold or below lose
 // interest.
 func (d *DUP) OnIntervalEnd() {
-	for n, s := range d.st {
+	for n := range d.st {
+		s := &d.st[n]
 		if s.Interested() && d.h.IntervalCount(n) <= d.h.Threshold() {
-			d.emit(n, s.LoseInterest())
+			d.emit(n, s.AppendLoseInterest(d.acts[:0]))
 		}
 	}
 }
@@ -195,8 +199,8 @@ func (d *DUP) OnNodeDown(f, oldParent int, formerChildren []int) {
 	if d.st[f].IsRoot() {
 		panic("dupscheme: root failure is not supported by the simulator")
 	}
-	if d.st[oldParent].Contains(f) {
-		d.emit(oldParent, d.st[oldParent].HandleUnsubscribe(f))
+	if p := &d.st[oldParent]; p.Contains(f) {
+		d.emit(oldParent, p.AppendHandleUnsubscribe(d.acts[:0], f))
 	}
 	for _, child := range formerChildren {
 		if d.st[child].OnVirtualPath() {
@@ -222,13 +226,14 @@ func (d *DUP) OnNodeUp(f, parent int) {
 // OnMessage implements scheme.Scheme.
 func (d *DUP) OnMessage(m *proto.Message) {
 	n := m.To
+	s := &d.st[n]
 	switch m.Kind {
 	case proto.KindSubscribe:
-		d.emit(n, d.st[n].HandleSubscribe(m.Subject))
+		d.emit(n, s.AppendHandleSubscribe(d.acts[:0], m.Subject))
 	case proto.KindUnsubscribe:
-		d.emit(n, d.st[n].HandleUnsubscribe(m.Subject))
+		d.emit(n, s.AppendHandleUnsubscribe(d.acts[:0], m.Subject))
 	case proto.KindSubstitute:
-		d.emit(n, d.st[n].HandleSubstitute(m.Old, m.New))
+		d.emit(n, s.AppendHandleSubstitute(d.acts[:0], m.Old, m.New))
 	case proto.KindPush:
 		d.h.Cache(n).Store(m.Version, m.Expiry)
 		// Forward across the DUP tree only if this node has not already

@@ -86,6 +86,7 @@ type Scheme interface {
 	// it had at detection time) are now children of oldParent. The scheme
 	// repairs its own distribution state following the paper's Section
 	// III-C failure cases; any messages it sends are charged as usual.
+	// formerChildren is the host's scratch, valid only during the call.
 	OnNodeDown(f, oldParent int, formerChildren []int)
 	// OnNodeUp runs when node f rejoins the network, blank, as a leaf
 	// child of parent.

@@ -68,6 +68,7 @@ type Engine struct {
 	failGap    rng.Distribution
 	fails      int64 // failures injected so far
 	lostQrys   int64 // request/reply drops that triggered a retry
+	orphans    []int // repairAround's scratch copy of the failed node's children
 }
 
 // New prepares a run of s under cfg. It returns an error for invalid
@@ -335,9 +336,9 @@ func (e *Engine) repairAround(f int) {
 	if oldParent == -1 {
 		return // already detached by an earlier repair
 	}
-	children := append([]int(nil), e.tree.Children(f)...)
+	e.orphans = append(e.orphans[:0], e.tree.Children(f)...)
 	e.tree.Detach(f)
-	e.sch.OnNodeDown(f, oldParent, children)
+	e.sch.OnNodeDown(f, oldParent, e.orphans)
 }
 
 // recover brings node f back, blank, under its original parent (or the

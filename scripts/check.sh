@@ -37,4 +37,7 @@ go test -run '^$' -fuzz 'FuzzReadBurst' -fuzztime 5s ./internal/wire/
 echo "== benchmark smoke (exit code only: tree intact, versions monotone, proto.in_use_end = 0) =="
 go run ./bench -workload fanout-tcp -epochs 1 -window 2s >/dev/null
 
+echo "== simulator golden (exit code only: sim-paper bit-identical to bench/golden_sim.json and deterministic) =="
+go run ./bench -workload sim-paper -epochs 1 -window 1s >/dev/null
+
 echo "check.sh: all green"
